@@ -17,9 +17,9 @@ from hermpd import (
     diagonal_factorial_model,
     eval_kernel,
     grid_factorial_model,
+    hermitian_eigen,
     inner_gram,
     kernel_gram,
-    psd_check,
     scalar_points,
     schur_product,
 )
@@ -43,17 +43,17 @@ inner = inner_gram(pts)
 print("inner Gram hermitian defect:", inner.hermitian_defect)
 
 kernel = kernel_gram(grid, GramMatrix(inner.entries / 8), 1e-12)
-verdict = psd_check(kernel, 1e-10)
-print("kernel Gram verdict:", verdict, " min eigenvalue:", kernel.min_eigenvalue)
-assert verdict == "positive_definite"
+spectrum = hermitian_eigen(kernel.entries, 1e-10)
+print("kernel Gram verdict:", spectrum.verdict, " min eigenvalue:", spectrum.min)
+assert spectrum.verdict == "positive_definite"
 print()
 
 # --- closure properties ---------------------------------------------------------
 g1 = kernel_gram(model, inner_gram(scalar_points([0.2, 0.5j, -0.4])), 1e-12)
 g2 = kernel_gram(grid, inner_gram(scalar_points([0.2, 0.5j, -0.4])), 1e-12)
 combo = GramMatrix(1.7 * g1.entries + 0.3 * g2.entries)
-print("cone combination:", psd_check(combo, 1e-10))
-print("Schur product   :", psd_check(schur_product(g1, g2), 1e-10))
+print("cone combination:", hermitian_eigen(combo.entries, 1e-10).verdict)
+print("Schur product   :", hermitian_eigen(schur_product(g1, g2).entries, 1e-10).verdict)
 
 # rank-one inputs reproduce the Hadamard rank-one identity
 v = rng.standard_normal(3) + 1j * rng.standard_normal(3)

@@ -10,7 +10,7 @@ points, and M only adds to the quadratic form.
 
 import numpy as np
 
-from hermpd import ComplexPointSet, inner_gram, split_gram
+from hermpd import ComplexPointSet, hermitian_eigen, inner_gram, split_gram
 from hermpd.linalg import row_sum_scale
 
 rng = np.random.default_rng(42)
@@ -26,7 +26,7 @@ print("min pairwise scalar gap:", result.gap)
 
 a = inner_gram(pts).entries
 recon = np.abs(a - (np.outer(result.scalars, np.conj(result.scalars)) + result.remainder)).max()
-lam = np.linalg.eigvalsh((result.remainder + result.remainder.conj().T) / 2)
+lam = hermitian_eigen(result.remainder, 1e-12).eigenvalues
 print("reconstruction error   :", recon / row_sum_scale(a), "(relative)")
 print("remainder eigenvalues  :", np.round(lam, 10))
 assert lam[0] >= -1e-11 * row_sum_scale(a)

@@ -15,6 +15,7 @@ from hermpd import (
     collocation,
     diagonal_factorial_model,
     grid_factorial_model,
+    hermitian_eigen,
     inner_gram,
     kernel_gram,
     modulus_class_sums,
@@ -22,7 +23,7 @@ from hermpd import (
     strictness_oracle,
 )
 from hermpd.exponents import ExponentFamily, ExponentSetSpec
-from hermpd.linalg import nullspace_vector, row_sum_scale
+from hermpd.linalg import nullspace_vector
 
 # --- collocation ranks ---------------------------------------------------------
 roots = np.exp(2j * np.pi * np.arange(4) / 4)
@@ -41,9 +42,9 @@ pts = 0.8 * np.exp(2j * np.pi * rng.random(5)) * rng.uniform(0.5, 1.0, 5)
 model = grid_factorial_model(16)
 result = strictness_oracle(model, pts, truncation=16, tol=1e-8)
 gram = kernel_gram(model, inner_gram(scalar_points(pts)), 1e-12)
-lam = np.linalg.eigvalsh((gram.entries + gram.entries.conj().T) / 2)[0]
+spectrum = hermitian_eigen(gram.entries, 1e-8)
 print("grid model : strict =", result.strict, " rank =", result.collocation_rank,
-      " tail =", f"{result.tail_mass:.2e}", " lambda_min/scale =", f"{lam / gram.scale:.2e}")
+      " tail =", f"{result.tail_mass:.2e}", " lambda_min/scale =", f"{spectrum.min / spectrum.scale:.2e}")
 
 diag = diagonal_factorial_model()
 equal_mod = np.exp(1j * np.array([0.4, 1.3, 2.9]))  # shared modulus

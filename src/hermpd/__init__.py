@@ -40,7 +40,6 @@ from .kernel import (
     kernel_gram,
     model_from_json,
     model_to_json,
-    psd_check,
     scalar_points,
     schur_product,
     truncation_tail_mass,
@@ -49,6 +48,7 @@ from .kernel import (
 from .linalg import (
     HermitianSpectrum,
     RankFactorization,
+    closest_pair,
     hermitian_eigen,
     nullspace_vector,
     rank_factor,

@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Commands ingest UTF-8 JSON files, print a machine-readable report to stdout,
-and signal outcomes through exit codes: 0 success (criterion holds), 2 input
-error, 3 criterion fails, 4 construction impossible because the criterion
-holds.  Reports are deterministic for fixed inputs, seed, and version up to
-the elapsed_ms field.
+and signal outcomes through exit codes: 0 success (criterion holds), 1 a
+selftest failure or an internal RuntimeError, 2 input error, 3 criterion
+fails, 4 construction impossible because the criterion holds.  Reports are
+deterministic for fixed inputs, seed, and version up to the elapsed_ms field.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .kernel import (
     kernel_gram,
     model_from_json,
     points_from_json,
-    psd_check,
 )
-from .linalg import hermitian_eigen, row_sum_scale
+from .linalg import POSITIVE_DEFINITE, hermitian_eigen
 from .oracle import TruncationGuardError, strictness_oracle
 from .selftest import run_selftest
 
@@ -144,15 +143,15 @@ def cmd_gram(args) -> int:
     pts = points_from_json(_load_json(args.points))
     inner = inner_gram(pts)
     kg = kernel_gram(model, inner, args.tol)
-    verdict = psd_check(kg, max(args.tol, 1e-12))
     spectrum = hermitian_eigen(kg.entries, max(args.tol, 1e-12))
+    kg.min_eigenvalue, kg.psd_verdict = spectrum.min, spectrum.verdict
     flags = {"seed": args.seed, "tol": args.tol}
     payload = {
         "inner_gram": gram_to_json(inner),
         "kernel_gram": gram_to_json(kg),
         "spectrum": [float(v) for v in spectrum.eigenvalues],
-        "psd_verdict": verdict,
-        "min_eigenvalue": kg.min_eigenvalue,
+        "psd_verdict": spectrum.verdict,
+        "min_eigenvalue": spectrum.min,
     }
     if args.csv:
         Path(args.csv).write_text(gram_to_csv(kg), encoding="utf-8")
@@ -171,11 +170,11 @@ def cmd_oracle(args) -> int:
     cross = None
     if result.tail_mass < args.tol:
         kg = kernel_gram(model, inner_gram(pts), min(args.tol, 1e-12))
-        lam = float(np.linalg.eigvalsh((kg.entries + kg.entries.conj().T) / 2)[0])
+        spectrum = hermitian_eigen(kg.entries, args.tol)
         cross = {
-            "min_eigenvalue": lam,
-            "scale": row_sum_scale(kg.entries),
-            "eigen_strict": bool(lam > args.tol * row_sum_scale(kg.entries)),
+            "min_eigenvalue": spectrum.min,
+            "scale": spectrum.scale,
+            "eigen_strict": spectrum.verdict == POSITIVE_DEFINITE,
         }
     flags = {"seed": args.seed, "truncation": args.truncation, "tol": args.tol}
     payload = {
@@ -196,7 +195,7 @@ def cmd_split(args) -> int:
     result = split_gram(pts, seed=args.seed, tol=args.tol)
     a = inner_gram(pts).entries
     recon = float(np.abs(a - (np.outer(result.scalars, np.conj(result.scalars)) + result.remainder)).max())
-    lam = float(np.linalg.eigvalsh((result.remainder + result.remainder.conj().T) / 2)[0])
+    lam = hermitian_eigen(result.remainder, args.tol).min
     flags = {"seed": args.seed, "tol": args.tol}
     payload = {
         "scalars": _complex_pairs(result.scalars),

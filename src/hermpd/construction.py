@@ -25,8 +25,16 @@ from .exponents import (
     members_upto,
     membership,
 )
-from .kernel import ComplexPointSet, GramMatrix, POSITIVE_DEFINITE, inner_gram, psd_check
-from .linalg import nullspace_vector, rank_factor, row_sum_scale, unitary_complete
+from .kernel import ComplexPointSet, inner_gram
+from .linalg import (
+    INDEFINITE,
+    closest_pair,
+    hermitian_eigen,
+    nullspace_vector,
+    rank_factor,
+    row_sum_scale,
+    unitary_complete,
+)
 
 
 @dataclass(frozen=True)
@@ -52,12 +60,10 @@ def split_gram(pts: ComplexPointSet, seed: int = 0, tol: float = 1e-10) -> Decom
         raise ValueError(f"points must be pairwise distinct (min gap {pts.min_gap!r})")
     a = inner_gram(pts).entries
     n = pts.n
-    scale = row_sum_scale(a)
     # distinct points can never produce identical Gram rows
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.abs(a[i] - a[j]).max() <= tol * scale:
-                raise ValueError(f"Gram rows {i} and {j} coincide; input points were not distinct")
+    row_gap, i, j = closest_pair(a)
+    if row_gap <= tol * row_sum_scale(a):
+        raise ValueError(f"Gram rows {i} and {j} coincide; input points were not distinct")
     fact = rank_factor(a, tol)
     m, c = fact.rank, fact.factor
     if m == 0:
@@ -68,10 +74,7 @@ def split_gram(pts: ComplexPointSet, seed: int = 0, tol: float = 1e-10) -> Decom
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         v /= np.linalg.norm(v)
         z = v @ c
-        gap = math.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = min(gap, abs(z[i] - z[j]))
+        gap = closest_pair(z[:, None])[0]
         if gap <= tol:
             continue
         completion = unitary_complete(v)
@@ -90,8 +93,8 @@ def _validate_split(a: np.ndarray, result: DecompositionResult, tol: float) -> N
     recon = np.abs(a - (np.outer(result.scalars, np.conj(result.scalars)) + result.remainder)).max()
     if recon > 10 * tol * scale:
         raise RuntimeError(f"split reconstruction error {recon:.3e} exceeds {10 * tol * scale:.3e}")
-    verdict = psd_check(GramMatrix(result.remainder), tol)
-    if verdict not in (POSITIVE_DEFINITE, "positive_semidefinite"):
+    verdict = hermitian_eigen(result.remainder, tol).verdict
+    if verdict == INDEFINITE:
         raise RuntimeError(f"split remainder is {verdict}")
 
 
@@ -103,9 +106,7 @@ def block_extend(a, coeff_a: complex, coeff_b: complex, tol: float = 1e-12) -> n
     of the result is verified, not assumed.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if psd_check(GramMatrix(a), tol) == "indefinite":
+    if hermitian_eigen(a, tol).verdict == INDEFINITE:
         raise ValueError("input matrix is indefinite beyond tolerance")
     ca, cb = complex(coeff_a), complex(coeff_b)
     ones = np.ones_like(a)
@@ -115,7 +116,7 @@ def block_extend(a, coeff_a: complex, coeff_b: complex, tol: float = 1e-12) -> n
             [np.conj(ca) * a + np.conj(cb) * ones, abs(ca) ** 2 * a + abs(cb) ** 2 * ones],
         ]
     )
-    if psd_check(GramMatrix(out), tol) == "indefinite":
+    if hermitian_eigen(out, tol).verdict == INDEFINITE:
         raise RuntimeError("block embedding unexpectedly left the PSD cone")
     return out
 
@@ -228,15 +229,6 @@ def origin_counterexample(spec: ExponentSetSpec) -> tuple[complex, complex]:
     if membership(spec, (0, 0)):
         raise ValueError("exponent set contains the origin; the zero point annihilates nothing")
     return (0j, 1 + 0j)
-
-
-def witness_min_gap(w: AnnihilationWitness) -> float:
-    pts = w.points
-    gap = math.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            gap = min(gap, abs(pts[i] - pts[j]))
-    return gap
 
 
 # --- JSON ------------------------------------------------------------------

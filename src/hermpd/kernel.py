@@ -6,7 +6,8 @@ w * rho^s / s!.  The factorial decay makes every model an entire function of
 (z, conj z), so series evaluation admits closed-form tail bounds and the
 kernel value f(a) = sum b(k, l) a^k conj(a)^l can be computed to any
 requested tolerance.  Gram matrices of inner products and of kernel values
-carry their Hermitian defect and, after a check, a spectral verdict.
+carry their Hermitian defect, and report fields for a spectral verdict that
+the caller fills from ``linalg.hermitian_eigen``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from .exponents import (
     spec_from_json,
     spec_to_json,
 )
-from .linalg import hermitian_defect, hermitian_part, row_sum_scale
-
-POSITIVE_DEFINITE = "positive_definite"
-POSITIVE_SEMIDEFINITE = "positive_semidefinite"
-INDEFINITE = "indefinite"
+from .linalg import closest_pair, hermitian_defect, row_sum_scale
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ def truncation_tail_mass(model: CoefficientModel, truncation: int, radius: float
 
 @dataclass(frozen=True)
 class ComplexPointSet:
-    """n points in C^m with their minimum pairwise gap."""
+    """n points in C^m with their minimum pairwise gap (see linalg.closest_pair)."""
 
     points: np.ndarray
     min_gap: float = field(init=False)
@@ -189,11 +186,7 @@ class ComplexPointSet:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=complex))
         object.__setattr__(self, "points", pts)
-        n = pts.shape[0]
-        gap = math.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = min(gap, float(np.linalg.norm(pts[i] - pts[j])))
+        gap = closest_pair(pts)[0]
         object.__setattr__(self, "min_gap", gap)
         object.__setattr__(self, "distinct", gap > 0)
 
@@ -256,31 +249,6 @@ def kernel_gram(model: CoefficientModel, g: GramMatrix, tol: float) -> GramMatri
     if result.hermitian_defect > allowance:
         raise ValueError(f"kernel Gram defect {result.hermitian_defect:.3e} exceeds {allowance:.3e}")
     return result
-
-
-def psd_check(g: GramMatrix, eps: float) -> str:
-    """Spectral verdict for a Hermitian matrix at relative tolerance eps.
-
-    positive_definite when the least eigenvalue clears +eps*scale,
-    positive_semidefinite when it clears -eps*scale, indefinite otherwise.
-    The least eigenvalue is stored on the Gram object.
-    """
-    if eps <= 0:
-        raise ValueError(f"tolerance must be positive, got {eps}")
-    scale = g.scale
-    if g.hermitian_defect > eps * max(scale, 1.0):
-        raise ValueError(f"matrix is not Hermitian within tolerance: defect {g.hermitian_defect:.3e}")
-    lam = np.linalg.eigvalsh(hermitian_part(g.entries))
-    lam_min = float(lam[0])
-    if lam_min > eps * scale:
-        verdict = POSITIVE_DEFINITE
-    elif lam_min >= -eps * scale:
-        verdict = POSITIVE_SEMIDEFINITE
-    else:
-        verdict = INDEFINITE
-    g.min_eigenvalue = lam_min
-    g.psd_verdict = verdict
-    return verdict
 
 
 def schur_product(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:

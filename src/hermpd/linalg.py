@@ -1,13 +1,20 @@
 """Dense complex Hermitian numerics with explicit relative tolerances.
 
 Rank decisions throughout the package use one scale convention, the maximum
-absolute row sum, so that ranks agree across modules.  Returned vectors are
-phase-normalized (first significant component real positive) to make results
-comparable by equality instead of up to a unit scalar.
+absolute row sum, so that ranks agree across modules.  Every spectrum comes
+from ``hermitian_eigen``; it and ``rank_factor`` share one guard, refusing a
+matrix whose Hermitian defect max|A - A^H| exceeds eps * scale.  Returned
+vectors are phase-normalized (first significant component real positive) to
+make results comparable by equality instead of up to a unit scalar.
+
+Pairwise gaps come from ``closest_pair``: the distance between two rows is
+the largest coordinate modulus of their difference, each modulus taken with
+``np.hypot`` so that it equals scalar ``abs`` bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,10 +51,16 @@ def phase_normalize(v, rel: float = 1e-12) -> np.ndarray:
     return v
 
 
+POSITIVE_DEFINITE = "positive_definite"
+POSITIVE_SEMIDEFINITE = "positive_semidefinite"
+INDEFINITE = "indefinite"
+
+
 @dataclass(frozen=True)
 class HermitianSpectrum:
     eigenvalues: np.ndarray  # ascending
     scale: float
+    verdict: str  # POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE or INDEFINITE
 
     @property
     def min(self) -> float:
@@ -69,24 +82,36 @@ class RankFactorization:
         return self.factor.T @ np.conj(self.factor)
 
 
-def _check_square(a) -> np.ndarray:
+def _hermitian_guard(a, tol: float) -> tuple[np.ndarray, float]:
+    """The square complex matrix and its scale; refuses a defect above tol * scale."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def hermitian_eigen(a, tol: float) -> HermitianSpectrum:
-    """Ascending real spectrum of the Hermitian part of a.
-
-    Rejects inputs whose Hermitian defect exceeds tol * scale.
-    """
-    a = _check_square(a)
     scale = row_sum_scale(a)
     defect = hermitian_defect(a)
     if defect > tol * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance: defect {defect:.3e} > {tol:.1e} * {scale:.3e}")
-    return HermitianSpectrum(np.linalg.eigvalsh(hermitian_part(a)), scale)
+    return a, scale
+
+
+def hermitian_eigen(a, eps: float) -> HermitianSpectrum:
+    """Ascending real spectrum of the Hermitian part of a, with its verdict.
+
+    positive_definite when the least eigenvalue exceeds eps * scale,
+    positive_semidefinite when it is at least -eps * scale, indefinite
+    otherwise.
+    """
+    if eps <= 0:
+        raise ValueError(f"tolerance must be positive, got {eps}")
+    a, scale = _hermitian_guard(a, eps)
+    lam = np.linalg.eigvalsh(hermitian_part(a))
+    if lam[0] > eps * scale:
+        verdict = POSITIVE_DEFINITE
+    elif lam[0] >= -eps * scale:
+        verdict = POSITIVE_SEMIDEFINITE
+    else:
+        verdict = INDEFINITE
+    return HermitianSpectrum(lam, scale, verdict)
 
 
 def rank_factor(a, tol: float) -> RankFactorization:
@@ -95,11 +120,7 @@ def rank_factor(a, tol: float) -> RankFactorization:
     Eigenvalues in [-tol*scale, tol*scale] are treated as zero; anything
     below -tol*scale rejects the input as indefinite.
     """
-    a = _check_square(a)
-    scale = row_sum_scale(a)
-    defect = hermitian_defect(a)
-    if defect > tol * scale:
-        raise ValueError(f"matrix is not Hermitian within tolerance: defect {defect:.3e}")
+    a, scale = _hermitian_guard(a, tol)
     w, u = np.linalg.eigh(hermitian_part(a))
     if w[0] < -tol * scale:
         raise ValueError(f"matrix is indefinite beyond tolerance: min eigenvalue {w[0]:.3e}")
@@ -107,6 +128,26 @@ def rank_factor(a, tol: float) -> RankFactorization:
     keep = w > tol * scale
     c = np.sqrt(w[keep])[:, None] * u[:, keep].T
     return RankFactorization(int(keep.sum()), c)
+
+
+def closest_pair(rows) -> tuple[float, int, int]:
+    """(gap, i, j) for the closest pair i < j of the rows of an (n, m) array.
+
+    Ties go to the lexicographically first pair; pairs at a NaN distance are
+    skipped.  With fewer than two comparable rows the gap is inf.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    n = rows.shape[0]
+    if n < 2:
+        return math.inf, 0, 0
+    dist = np.zeros((n, n))
+    for col in rows.T:  # one coordinate at a time keeps memory at O(n^2)
+        diff = col[:, None] - col[None, :]
+        np.maximum(dist, np.hypot(diff.real, diff.imag), out=dist)
+    dist[np.isnan(dist)] = math.inf
+    np.fill_diagonal(dist, math.inf)
+    i, j = divmod(int(dist.argmin()), n)
+    return float(dist[i, j]), i, j
 
 
 def nullspace_vector(m, tol: float) -> Optional[np.ndarray]:

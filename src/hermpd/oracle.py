@@ -16,7 +16,7 @@ import numpy as np
 
 from .exponents import ExponentPair, ExponentSetSpec, members_upto
 from .kernel import CoefficientModel, eval_kernel, truncation_tail_mass
-from .linalg import nullspace_vector, row_sum_scale
+from .linalg import closest_pair, nullspace_vector, row_sum_scale
 
 
 class TruncationGuardError(RuntimeError):
@@ -61,10 +61,9 @@ def _check_points(points) -> np.ndarray:
         raise ValueError("need at least one point")
     if np.any(pts == 0):
         raise ValueError("zero point not allowed here; use the origin witness path")
-    for i in range(pts.size):
-        for j in range(i + 1, pts.size):
-            if pts[i] == pts[j]:
-                raise ValueError(f"duplicate points at indices {i} and {j}")
+    gap, i, j = closest_pair(pts[:, None])
+    if gap == 0:
+        raise ValueError(f"duplicate points at indices {i} and {j}")
     return pts
 
 

@@ -26,16 +26,18 @@ from .exponents import (
 )
 from .kernel import (
     GramMatrix,
-    INDEFINITE,
     conjugate_model,
     eval_kernel,
     inner_gram,
     kernel_gram,
-    psd_check,
     scalar_points,
     schur_product,
 )
 from .linalg import (
+    INDEFINITE,
+    POSITIVE_DEFINITE,
+    closest_pair,
+    hermitian_eigen,
     nullspace_vector,
     rank_factor,
     row_sum_scale,
@@ -46,7 +48,6 @@ from .construction import (
     build_counterexample,
     character_coefficients,
     split_gram,
-    witness_min_gap,
 )
 from .oracle import collocation, modulus_class_sums, quadratic_form, strictness_oracle
 
@@ -172,12 +173,11 @@ def check_cone_closure(rng, level):
         g1 = GramMatrix(sampling.random_psd(rng, n, int(rng.integers(1, n + 1))))
         g2 = GramMatrix(sampling.random_psd(rng, n, int(rng.integers(1, n + 1))))
         a, b = rng.uniform(0, 2, size=2)
-        combo = GramMatrix(a * g1.entries + b * g2.entries)
         cases += 1
-        if psd_check(combo, 1e-10) == INDEFINITE:
+        if hermitian_eigen(a * g1.entries + b * g2.entries, 1e-10).verdict == INDEFINITE:
             failures.append("nonnegative combination left the PSD cone")
         cases += 1
-        if psd_check(schur_product(g1, g2), 1e-10) == INDEFINITE:
+        if hermitian_eigen(schur_product(g1, g2).entries, 1e-10).verdict == INDEFINITE:
             failures.append("Schur product left the PSD cone")
     return cases, failures
 
@@ -195,7 +195,7 @@ def check_kernel_gram_psd(rng, level):
         g = GramMatrix(raw / max(1.0, float(np.abs(raw).max())))  # keep kernel arguments desk-sized
         kg = kernel_gram(model, g, 1e-11)
         cases += 1
-        if psd_check(kg, 1e-9) == INDEFINITE:
+        if hermitian_eigen(kg.entries, 1e-9).verdict == INDEFINITE:
             failures.append("kernel Gram of a PSD input is indefinite")
         conj_gram = kernel_gram(conjugate_model(model), g, 1e-11)
         cases += 1
@@ -279,12 +279,12 @@ def check_split(rng, level):
         a = inner_gram(pts).entries
         scale = max(row_sum_scale(a), 1.0)
         recon = np.abs(a - (np.outer(res.scalars, np.conj(res.scalars)) + res.remainder)).max()
-        lam = np.linalg.eigvalsh((res.remainder + res.remainder.conj().T) / 2)
+        lam = hermitian_eigen(res.remainder, 1e-12).min
         cases += 3
         if recon > 1e-11 * scale:
             failures.append(f"split reconstruction {recon:.3e} beyond 1e-11*scale")
-        if lam[0] < -1e-11 * scale:
-            failures.append(f"split remainder min eigenvalue {lam[0]:.3e}")
+        if lam < -1e-11 * scale:
+            failures.append(f"split remainder min eigenvalue {lam:.3e}")
         if not res.gap > 0:
             failures.append("split scalars not pairwise distinct")
     return cases, failures
@@ -300,7 +300,7 @@ def check_block_extend(rng, level):
         cb = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         out = block_extend(a, ca, cb)
         scale = max(row_sum_scale(out), 1.0)
-        lam = np.linalg.eigvalsh((out + out.conj().T) / 2)
+        lam = hermitian_eigen(out, 1e-12).eigenvalues
         cases += 2
         if lam[0] < -1e-12 * scale:
             failures.append(f"block extension min eigenvalue {lam[0]:.3e}")
@@ -325,8 +325,10 @@ def check_counterexample(rng, level):
             failures.append(f"witness residual {witness.max_residual:.3e}")
         p, nvals = witness.p, len(witness.thetas) - 1
         bound = 2 * math.sin(math.pi / (p * (nvals + 2) * (nvals + 1)))
-        if witness_min_gap(witness) < bound:
+        if closest_pair(witness.points[:, None])[0] < bound:
             failures.append("witness points closer than the analytic gap bound")
+        if np.linalg.norm(witness.coefficients) < 1 - 1e-12:
+            failures.append("witness coefficients are not of unit norm")
         if len(witness.points) <= 40:
             cases += 1
             model = sampling.random_weights(rng, spec, rho_hi=0.6)
@@ -367,8 +369,7 @@ def check_oracle_eigen(rng, level):
             failures.append(f"instance violated the truncation guard: {result.tail_mass:.3e}")
             continue
         gram = kernel_gram(model, inner_gram(scalar_points(pts)), 1e-12)
-        lam = np.linalg.eigvalsh((gram.entries + gram.entries.conj().T) / 2)[0]
-        eigen_strict = lam > tol * gram.scale
+        eigen_strict = hermitian_eigen(gram.entries, tol).verdict == POSITIVE_DEFINITE
         if result.strict != eigen_strict or result.strict != expect_strict:
             failures.append(
                 f"verdict mismatch: oracle {result.strict}, eigen {eigen_strict}, expected {expect_strict}"
@@ -438,6 +439,8 @@ def check_modulus_classes(rng, level):
         worst = max(float(np.abs(s).max()) for s in sums.values())
         if worst > 10 * 1e-9:
             failures.append(f"per-class sum {worst:.3e} beyond 10x window tolerance")
+        if len(sums) != 2:
+            failures.append(f"{len(sums)} modulus classes instead of 2")
     return cases, failures
 
 

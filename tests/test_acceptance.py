@@ -27,19 +27,17 @@ from hermpd.exponents import (
 )
 from hermpd.kernel import (
     GramMatrix,
-    INDEFINITE,
     conjugate_model,
     diagonal_factorial_model,
     eval_kernel,
     grid_factorial_model,
     inner_gram,
     kernel_gram,
-    psd_check,
     scalar_points,
     schur_product,
     unit_weights,
 )
-from hermpd.linalg import row_sum_scale
+from hermpd.linalg import INDEFINITE, hermitian_eigen, row_sum_scale
 from hermpd.oracle import quadratic_form, strictness_oracle
 from hermpd.sampling import (
     annulus_points,
@@ -151,8 +149,8 @@ def test_criterion_07_closure_suite():
         g1 = GramMatrix(random_psd(rng, n, int(rng.integers(1, n + 1))))
         g2 = GramMatrix(random_psd(rng, n, int(rng.integers(1, n + 1))))
         a, b = rng.uniform(0, 2, size=2)
-        assert psd_check(GramMatrix(a * g1.entries + b * g2.entries), 1e-10) != INDEFINITE
-        assert psd_check(schur_product(g1, g2), 1e-10) != INDEFINITE
+        assert hermitian_eigen(a * g1.entries + b * g2.entries, 1e-10).verdict != INDEFINITE
+        assert hermitian_eigen(schur_product(g1, g2).entries, 1e-10).verdict != INDEFINITE
     for _ in range(50):
         n = int(rng.integers(1, 5))
         model = random_weights(rng, random_spec(rng, max_stride=2), rho_hi=0.5)

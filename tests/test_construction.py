@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,11 +9,9 @@ from hermpd.construction import (
     OriginWitnessNeeded,
     block_extend,
     build_counterexample,
-    character_coefficients,
     class_difference_values,
     origin_counterexample,
     split_gram,
-    witness_min_gap,
     witness_to_json,
 )
 from hermpd.exponents import (
@@ -27,13 +23,10 @@ from hermpd.exponents import (
     full_grid_spec,
 )
 from hermpd.kernel import ComplexPointSet, diagonal_factorial_model, inner_gram, unit_weights
-from hermpd.linalg import row_sum_scale
+from hermpd.linalg import hermitian_eigen, row_sum_scale
 from hermpd.oracle import quadratic_form
-from hermpd.sampling import random_point_set, random_psd, random_spec, random_weights
-
-
-def remainder_min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+from hermpd.sampling import random_psd
+from selftest_checks import full_level
 
 
 def test_split_single_point():
@@ -41,7 +34,7 @@ def test_split_single_point():
     res = split_gram(pts, seed=0)
     a = inner_gram(pts).entries
     assert abs(res.scalars[0]) ** 2 <= a[0, 0].real + 1e-12
-    assert remainder_min_eig(res.remainder) >= -1e-12
+    assert hermitian_eigen(res.remainder, 1e-12).min >= -1e-12
 
 
 def test_split_orthonormal_pair():
@@ -51,7 +44,7 @@ def test_split_orthonormal_pair():
     a = inner_gram(pts).entries
     recon = np.abs(a - (np.outer(res.scalars, np.conj(res.scalars)) + res.remainder)).max()
     assert recon <= 1e-12
-    assert remainder_min_eig(res.remainder) >= -1e-12
+    assert hermitian_eigen(res.remainder, 1e-12).min >= -1e-12
 
 
 def test_split_rejects_coincident_points():
@@ -60,25 +53,10 @@ def test_split_rejects_coincident_points():
         split_gram(pts, seed=0)
 
 
-def test_split_random_point_sets():
-    rng = np.random.default_rng(21)
-    for i in range(200):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 6))
-        pts = random_point_set(rng, n, m)
-        res = split_gram(pts, seed=i, tol=1e-12)
-        a = inner_gram(pts).entries
-        scale = max(row_sum_scale(a), 1.0)
-        recon = np.abs(a - (np.outer(res.scalars, np.conj(res.scalars)) + res.remainder)).max()
-        assert recon <= 1e-11 * scale
-        assert remainder_min_eig(res.remainder) >= -1e-11 * scale
-        assert res.gap > 0
-
-
 def test_block_extend_examples():
     out = block_extend(np.zeros((1, 1)), 1.0, 1.0)
     np.testing.assert_allclose(out, np.ones((2, 2)), atol=1e-14)
-    assert remainder_min_eig(out) >= -1e-12
+    assert hermitian_eigen(out, 1e-12).min >= -1e-12
 
     out = block_extend(np.eye(1), 0.0, 0.0)
     np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-14)
@@ -89,43 +67,14 @@ def test_block_extend_examples():
     cb = complex(rng.standard_normal(), rng.standard_normal())
     out = block_extend(a, ca, cb)
     scale = row_sum_scale(out)
-    assert remainder_min_eig(out) >= -1e-12 * scale
-    lam = np.linalg.eigvalsh((out + out.conj().T) / 2)
+    lam = hermitian_eigen(out, 1e-12).eigenvalues
+    assert lam[0] >= -1e-12 * scale
     assert int((lam > 1e-10 * scale).sum()) <= 3
 
 
 def test_block_extend_rejects_indefinite():
     with pytest.raises(ValueError, match="indefinite"):
         block_extend(np.diag([1.0, -1.0]), 1.0, 0.0)
-
-
-def test_block_extend_random():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        rank = int(rng.integers(0, n))
-        a = random_psd(rng, n, rank)
-        out = block_extend(
-            a,
-            complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
-            complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
-        )
-        scale = max(row_sum_scale(out), 1.0)
-        lam = np.linalg.eigvalsh((out + out.conj().T) / 2)
-        assert lam[0] >= -1e-12 * scale
-        assert int((lam > 1e-10 * scale).sum()) <= rank + 1
-
-
-def test_character_coefficients_exactness():
-    for p in range(1, 33):
-        for q in range(p):
-            d = character_coefficients(p, q)
-            for s in range(p):
-                total = np.sum(d * np.exp(2j * np.pi * np.arange(p) * s / p))
-                if s == q:
-                    assert abs(total - p) <= 1e-12 * p
-                else:
-                    assert abs(total) <= 1e-12
 
 
 def test_class_values_diagonal():
@@ -191,31 +140,16 @@ def test_origin_counterexample_examples():
         origin_counterexample(ExponentSetSpec(points=[(1, 1)], require_origin=False))
 
 
-def test_counterexample_random_specs():
-    rng = np.random.default_rng(24)
-    built = 0
-    while built < 25:
-        spec = random_spec(rng)
-        verdict = check_strict_criterion(spec)
-        if verdict.failing_class is None:
-            continue
-        built += 1
-        w = build_counterexample(spec, verdict, truncation=20, tol=1e-10)
-        assert w.max_residual <= 1e-10
-        n_vals = len(w.thetas) - 1
-        bound = 2 * math.sin(math.pi / (w.p * (n_vals + 2) * (n_vals + 1)))
-        assert witness_min_gap(w) >= bound
-        assert np.linalg.norm(w.coefficients) >= 1 - 1e-12
-        if len(w.points) <= 40:
-            model = random_weights(rng, spec, rho_hi=0.6)
-            coeff = w.coefficients / np.linalg.norm(w.coefficients)
-            form = quadratic_form(model, w.points, coeff, 1e-12)
-            assert abs(form) <= 1e-12 * float(np.abs(coeff).sum()) ** 2 + 2e-9
-
-
 def test_witness_json_shape():
     spec = diagonal_spec()
     w = build_counterexample(spec, check_strict_criterion(spec))
     obj = witness_to_json(w)
     assert set(obj) == {"p", "q", "thetas", "points", "coeffs", "max_residual"}
     assert len(obj["points"]) == len(obj["coeffs"]) == 2
+
+
+# randomized invariants are stated once, in hermpd.selftest.CHECKS
+test_split_random_point_sets = full_level("split")
+test_block_extend_random = full_level("block_extend")
+test_character_coefficients_exactness = full_level("characters")
+test_counterexample_random_specs = full_level("counterexample")

@@ -23,6 +23,7 @@ from hermpd.exponents import (
     spec_to_json,
 )
 from hermpd.sampling import random_spec
+from selftest_checks import full_level
 
 
 def test_membership_on_family():
@@ -121,31 +122,6 @@ def test_origin_missing():
     assert check_strict_criterion(sphere).holds
 
 
-def test_coverage_matches_bruteforce():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        profile = difference_profile(random_spec(rng))
-        for p in range(1, 65):
-            assert residue_coverage(profile, p) == residue_coverage_bruteforce(profile, p)
-
-
-def test_verdict_permutation_and_duplicate_invariance():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        spec = random_spec(rng)
-        base = check_strict_criterion(spec).holds
-        pts, fams = list(spec.points), list(spec.families)
-        rng.shuffle(pts)
-        rng.shuffle(fams)
-        assert check_strict_criterion(ExponentSetSpec(pts, fams, spec.require_origin)).holds == base
-        if spec.families:
-            fam = spec.families[0]
-            shadow = ExponentFamily(fam.member(1), fam.step)  # regenerates existing members only
-            if shadow not in spec.families:
-                grown = ExponentSetSpec(spec.points, spec.families + (shadow,), spec.require_origin)
-                assert check_strict_criterion(grown).holds == base
-
-
 def test_criterion_monotone_under_added_families():
     rng = np.random.default_rng(13)
     checked = 0
@@ -157,17 +133,6 @@ def test_criterion_monotone_under_added_families():
         fams = spec.families + tuple(f for f in extra.families if f not in spec.families)
         assert check_strict_criterion(ExponentSetSpec(spec.points, fams, spec.require_origin)).holds
         checked += 1
-
-
-def test_effective_modulus_reduction_matches_scan():
-    rng = np.random.default_rng(14)
-    for _ in range(200):
-        spec = random_spec(rng)
-        profile = difference_profile(spec)
-        pstar = effective_modulus(profile)
-        verdict = check_strict_criterion(spec)
-        scan_ok = all(len(residue_coverage(profile, p)) == p for p in range(1, 4 * pstar + 1))
-        assert scan_ok == (verdict.failing_class is None)
 
 
 def test_members_upto():
@@ -199,3 +164,10 @@ def test_json_rejects_unknown_and_missing_fields():
     bad_family = {**good, "families": [{"start": [0, 0], "step": [1, 1], "stride": 2}]}
     with pytest.raises(ValueError, match="unknown"):
         spec_from_json(bad_family)
+
+
+# randomized invariants are stated once, in hermpd.selftest.CHECKS
+test_coverage_matches_bruteforce = full_level("coverage_oracle")
+test_verdict_permutation_and_duplicate_invariance = full_level("verdict_invariance")
+test_check_criterion_monotonicity = full_level("criterion_monotonicity")
+test_effective_modulus_reduction_matches_scan = full_level("modulus_reduction")

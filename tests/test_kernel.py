@@ -1,4 +1,4 @@
-"""Coefficient models, certified evaluation, Gram assembly, PSD checks."""
+"""Coefficient models, certified evaluation, Gram assembly."""
 
 from __future__ import annotations
 
@@ -7,15 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from hermpd.exponents import ExponentFamily, ExponentPair, ExponentSetSpec, membership
+from hermpd.exponents import ExponentFamily, ExponentPair, ExponentSetSpec
 from hermpd.kernel import (
     CoefficientModel,
     ComplexPointSet,
     FamilyWeight,
     GramMatrix,
-    INDEFINITE,
-    POSITIVE_DEFINITE,
-    POSITIVE_SEMIDEFINITE,
     WeightRule,
     conjugate_model,
     diagonal_factorial_model,
@@ -25,12 +22,13 @@ from hermpd.kernel import (
     kernel_gram,
     model_from_json,
     model_to_json,
-    psd_check,
     schur_product,
     truncation_tail_mass,
     unit_weights,
 )
+from hermpd.linalg import INDEFINITE, POSITIVE_SEMIDEFINITE, hermitian_eigen
 from hermpd.sampling import random_psd, random_spec, random_weights
+from selftest_checks import full_level
 
 
 def point_model(weights: dict) -> CoefficientModel:
@@ -86,18 +84,6 @@ def test_eval_truncation_certificate():
         prev = cur
 
 
-def test_symmetry_invariants():
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        model = random_weights(rng, random_spec(rng, max_stride=2))
-        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(a) > 3:
-            a *= 3 / abs(a)
-        assert abs(eval_kernel(model, np.conj(a), 1e-13) - np.conj(eval_kernel(model, a, 1e-13))) <= 1e-13
-        t = rng.uniform(-3, 3)
-        assert abs(eval_kernel(model, complex(t, 0.0), 1e-13).imag) <= 1e-13
-
-
 def test_tail_mass_decreases_with_truncation():
     model = grid_factorial_model(12)
     masses = [truncation_tail_mass(model, t, 1.0) for t in (4, 8, 16)]
@@ -144,7 +130,7 @@ def test_kernel_gram_diagonal_on_ones():
     g = GramMatrix(np.ones((3, 3), dtype=complex))
     out = kernel_gram(model, g, 1e-13)
     np.testing.assert_allclose(out.entries, expected * np.ones((3, 3)), atol=1e-12)
-    assert psd_check(out, 1e-12) == POSITIVE_SEMIDEFINITE
+    assert hermitian_eigen(out.entries, 1e-12).verdict == POSITIVE_SEMIDEFINITE
 
 
 def test_kernel_gram_rejects_non_hermitian():
@@ -153,16 +139,7 @@ def test_kernel_gram_rejects_non_hermitian():
         kernel_gram(model, GramMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), 1e-12)
 
 
-def test_psd_check_examples():
-    g = GramMatrix(np.eye(3, dtype=complex))
-    assert psd_check(g, 1e-12) == POSITIVE_DEFINITE
-    assert g.min_eigenvalue == pytest.approx(1.0)
 
-    g = GramMatrix(np.ones((3, 3), dtype=complex))
-    assert psd_check(g, 1e-12) == POSITIVE_SEMIDEFINITE
-    assert g.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-
-    assert psd_check(GramMatrix(np.diag([1.0, -1.0])), 1e-12) == INDEFINITE
 
 
 def test_schur_product_examples():
@@ -173,42 +150,18 @@ def test_schur_product_examples():
     a = GramMatrix(random_psd(rng, 3))
     diag = schur_product(GramMatrix(np.eye(3, dtype=complex)), a)
     np.testing.assert_allclose(diag.entries, np.diag(np.diag(a.entries)))
-    assert psd_check(diag, 1e-12) != INDEFINITE
+    assert hermitian_eigen(diag.entries, 1e-12).verdict != INDEFINITE
 
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     had = schur_product(GramMatrix(np.outer(v, np.conj(v))), GramMatrix(np.outer(w, np.conj(w))))
     np.testing.assert_allclose(had.entries, np.outer(v * w, np.conj(v * w)), atol=1e-12)
-    assert psd_check(had, 1e-12) != INDEFINITE
+    assert hermitian_eigen(had.entries, 1e-12).verdict != INDEFINITE
 
 
 def test_schur_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         schur_product(GramMatrix(np.eye(2)), GramMatrix(np.eye(3)))
-
-
-def test_cone_and_schur_closure():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        g1 = GramMatrix(random_psd(rng, n, int(rng.integers(1, n + 1))))
-        g2 = GramMatrix(random_psd(rng, n, int(rng.integers(1, n + 1))))
-        a, b = rng.uniform(0, 2, size=2)
-        assert psd_check(GramMatrix(a * g1.entries + b * g2.entries), 1e-10) != INDEFINITE
-        assert psd_check(schur_product(g1, g2), 1e-10) != INDEFINITE
-
-
-def test_kernel_gram_of_psd_stays_psd():
-    rng = np.random.default_rng(8)
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        spec = random_spec(rng, max_stride=2)
-        if not membership(spec, (0, 0)):
-            spec = ExponentSetSpec(spec.points + ((0, 0),), spec.families, spec.require_origin)
-        model = random_weights(rng, spec, rho_hi=0.5)
-        raw = random_psd(rng, n, int(rng.integers(1, n + 1)))
-        g = GramMatrix(raw / max(1.0, float(np.abs(raw).max())))
-        assert psd_check(kernel_gram(model, g, 1e-12), 1e-9) != INDEFINITE
 
 
 def test_conjugate_model_gram():
@@ -251,3 +204,10 @@ def test_weight_validation():
         CoefficientModel(spec, WeightRule({ExponentPair(0, 0): 1.0}, ()))
     with pytest.raises(ValueError, match="cover"):
         CoefficientModel(spec, WeightRule({}, (FamilyWeight(1, 1),)))
+
+
+# randomized invariants are stated once, in hermpd.selftest.CHECKS
+test_check_truncation_certificate = full_level("truncation_certificate")
+test_symmetry_invariants = full_level("symmetries")
+test_cone_and_schur_closure = full_level("cone_closure")
+test_kernel_gram_of_psd_stays_psd = full_level("kernel_gram_psd")

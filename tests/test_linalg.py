@@ -1,11 +1,17 @@
-"""Hermitian spectra, rank factorizations, nullspaces, unitary completions."""
+"""Hermitian spectra, closest pairs, rank factorizations, nullspaces, unitary completions."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from hermpd.linalg import (
+    INDEFINITE,
+    POSITIVE_DEFINITE,
+    POSITIVE_SEMIDEFINITE,
+    closest_pair,
     hermitian_eigen,
     nullspace_vector,
     phase_normalize,
@@ -13,7 +19,8 @@ from hermpd.linalg import (
     row_sum_scale,
     unitary_complete,
 )
-from hermpd.sampling import random_psd, random_unit_vector
+from hermpd.sampling import random_psd
+from selftest_checks import full_level
 
 
 def test_eigen_diagonal():
@@ -34,9 +41,33 @@ def test_eigen_pauli_like():
     np.testing.assert_allclose(spec.eigenvalues, [1, 3], atol=1e-12)
 
 
+def test_eigen_verdicts():
+    spec = hermitian_eigen(np.eye(3, dtype=complex), 1e-12)
+    assert spec.verdict == POSITIVE_DEFINITE and spec.min == pytest.approx(1.0)
+    spec = hermitian_eigen(np.ones((3, 3), dtype=complex), 1e-12)
+    assert spec.verdict == POSITIVE_SEMIDEFINITE and spec.min == pytest.approx(0.0, abs=1e-12)
+    assert hermitian_eigen(np.diag([1.0, -1.0]), 1e-12).verdict == INDEFINITE
+
+
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)
+    # scale 0.5: a defect of 0.75 eps lies above eps * scale, so it is refused
+    eps = 1e-10
+    a = np.array([[0.5 - 0.75 * eps, 0.75 * eps], [0.0, 0.5]])
+    assert row_sum_scale(a) == 0.5
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigen(a, eps)
+
+
+def test_closest_pair():
+    assert closest_pair(np.ones((1, 3))) == (math.inf, 0, 0)
+    assert closest_pair(np.array([[1.0], [2.0], [3.0], [2.0], [1.0]])) == (0.0, 0, 4)
+    assert closest_pair(np.array([[math.nan], [0.0], [0.5]])) == (0.5, 1, 2)
+    # the gap of two scalars is exactly the scalar abs of their difference
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
+    assert all(closest_pair(pair[:, None])[0] == abs(pair[0] - pair[1]) for pair in z)
 
 
 def test_eigen_residuals_at_size_64():
@@ -66,18 +97,6 @@ def test_rank_factor_examples():
     assert fact.rank == 1
 
 
-def test_rank_factor_reconstruction_random():
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        n = int(rng.integers(1, 17))
-        rank = int(rng.integers(0, n + 1))
-        a = random_psd(rng, n, rank)
-        fact = rank_factor(a, 1e-12)
-        assert fact.rank == rank
-        scale = max(row_sum_scale(a), 1.0)
-        assert np.abs(a - fact.reconstruct()).max() <= 1e-11 * scale
-
-
 def test_rank_factor_rejects_indefinite():
     with pytest.raises(ValueError, match="indefinite"):
         rank_factor(np.diag([1.0, -1.0]), 1e-12)
@@ -104,22 +123,6 @@ def test_nullspace_phase_is_deterministic():
     assert first.imag == 0 and first.real > 0
 
 
-def test_nullspace_appending_image_preserves_rank():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        rows, cols = int(rng.integers(1, 7)), int(rng.integers(2, 7))
-        m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        m[:, -1] = m[:, 0]
-        c = nullspace_vector(m, 1e-10)
-        assert c is not None
-        grown = np.concatenate([m, (m @ c)[:, None]], axis=1)
-        s1 = np.linalg.svd(m, compute_uv=False)
-        s2 = np.linalg.svd(grown, compute_uv=False)
-        r1 = int((s1 > 1e-10 * row_sum_scale(m)).sum())
-        r2 = int((s2 > 1e-10 * row_sum_scale(grown)).sum())
-        assert r1 == r2
-
-
 def test_unitary_complete_identity():
     v = np.zeros(4, dtype=complex)
     v[0] = 1
@@ -133,16 +136,12 @@ def test_unitary_complete_two_dims():
     np.testing.assert_allclose(u[1], np.array([1, -1]) / np.sqrt(2), atol=1e-12)
 
 
-def test_unitary_complete_random():
-    rng = np.random.default_rng(4)
-    for _ in range(500):
-        m = int(rng.integers(1, 17))
-        v = random_unit_vector(rng, m)
-        u = unitary_complete(v)
-        assert np.abs(u @ u.conj().T - np.eye(m)).max() <= 1e-12
-        assert np.abs(u[0] - v).max() == 0.0
-
-
 def test_unitary_complete_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
         unitary_complete(np.array([1.0, 1.0]))
+
+
+# randomized invariants are stated once, in hermpd.selftest.CHECKS
+test_rank_factor_reconstruction_random = full_level("rank_factor")
+test_nullspace_appending_image_preserves_rank = full_level("nullspace")
+test_unitary_complete_random = full_level("unitary_complete")

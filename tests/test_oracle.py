@@ -7,8 +7,6 @@ import pytest
 
 from hermpd.exponents import ExponentFamily, ExponentSetSpec, full_grid_spec
 from hermpd.kernel import (
-    CoefficientModel,
-    WeightRule,
     diagonal_factorial_model,
     grid_factorial_model,
     inner_gram,
@@ -16,7 +14,7 @@ from hermpd.kernel import (
     scalar_points,
     unit_weights,
 )
-from hermpd.linalg import nullspace_vector, row_sum_scale
+from hermpd.linalg import POSITIVE_DEFINITE, hermitian_eigen, nullspace_vector, row_sum_scale
 from hermpd.oracle import (
     TruncationGuardError,
     collocation,
@@ -25,7 +23,8 @@ from hermpd.oracle import (
     quadratic_form,
     strictness_oracle,
 )
-from hermpd.sampling import annulus_points, equivalence_instance
+from hermpd.sampling import annulus_points
+from selftest_checks import full_level
 
 
 def fourth_roots():
@@ -93,8 +92,7 @@ def test_strictness_full_grid_strict():
     assert result.strict and result.collocation_rank == 6
     assert result.tail_mass < 1e-8
     gram = kernel_gram(model, inner_gram(scalar_points(pts)), 1e-12)
-    lam = float(np.linalg.eigvalsh((gram.entries + gram.entries.conj().T) / 2)[0])
-    assert lam > 1e-8 * row_sum_scale(gram.entries)
+    assert hermitian_eigen(gram.entries, 1e-8).verdict == POSITIVE_DEFINITE
 
 
 def test_strictness_single_point():
@@ -165,29 +163,6 @@ def test_modulus_class_rejects_zero_point():
         modulus_class_sums(np.array([0.0, 1.0]), np.ones(2), [(0, 0)])
 
 
-def test_per_class_decomposition_along_diagonal_windows():
-    # vanishing along a diagonal window forces each modulus class to vanish
-    rng = np.random.default_rng(34)
-    for _ in range(100):
-        n1, n2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        n = n1 + n2
-        z1 = 0.7 * np.exp(2j * np.pi * (rng.random() + np.arange(n1)) / n1)
-        z2 = 1.2 * np.exp(2j * np.pi * (rng.random() + np.arange(n2)) / n2)
-        pts = np.concatenate([z1, z2])
-        alpha, beta = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        window = [(alpha + j, beta + j) for j in range(2 * n)]
-        w = pts * np.conj(pts)
-        d = nullspace_vector(np.stack([w**j for j in range(2 * n)]), 1e-10)
-        assert d is not None
-        c = d / (pts**alpha * np.conj(pts) ** beta)
-        total = max(abs(np.sum(c * pts**k * np.conj(pts) ** l)) for k, l in window)
-        assert total <= 1e-9
-        sums = modulus_class_sums(pts, c, window)
-        assert len(sums) == 2
-        worst = max(float(np.abs(s).max()) for s in sums.values())
-        assert worst <= 10 * 1e-9
-
-
 def test_window_width_sufficiency():
     # a window of m consecutive powers (m = number of distinct values) pins
     # the same nullspace as any longer window; m - 1 rows do not
@@ -221,37 +196,8 @@ def test_power_sum_window():
         win.value_at(3)
 
 
-def test_oracle_eigen_equivalence():
-    rng = np.random.default_rng(36)
-    tol = 1e-8
-    for _ in range(60):
-        model, pts, expect_strict = equivalence_instance(rng)
-        result = strictness_oracle(model, pts, truncation=12, tol=tol)
-        assert result.tail_mass < tol
-        gram = kernel_gram(model, inner_gram(scalar_points(pts)), 1e-12)
-        lam = float(np.linalg.eigvalsh((gram.entries + gram.entries.conj().T) / 2)[0])
-        eigen_strict = lam > tol * gram.scale
-        assert result.strict == eigen_strict == expect_strict
-
-
-def test_witness_validated_against_truncated_model():
-    rng = np.random.default_rng(37)
-    tol = 1e-8
-    found = 0
-    while found < 20:
-        model, pts, expect_strict = equivalence_instance(rng)
-        if expect_strict:
-            continue
-        found += 1
-        result = strictness_oracle(model, pts, truncation=12, tol=tol)
-        assert not result.strict
-        from hermpd.exponents import members_upto
-
-        pairs = members_upto(model.spec, 12)
-        table = CoefficientModel(
-            ExponentSetSpec(points=pairs, require_origin=model.spec.require_origin),
-            WeightRule({p: model.coefficient(p.k, p.l) for p in pairs}, ()),
-        )
-        n = len(pts)
-        form = quadratic_form(table, pts, result.witness, tol)
-        assert abs(form) <= n * n * tol
+# randomized invariants are stated once, in hermpd.selftest.CHECKS
+test_check_collocation_phase = full_level("collocation_phase")
+test_per_class_decomposition_along_diagonal_windows = full_level("modulus_classes")
+test_oracle_eigen_equivalence = full_level("oracle_eigen")
+test_witness_validated_against_truncated_model = full_level("witness_validity")
