@@ -134,7 +134,7 @@ def closest_pair(rows) -> tuple[float, int, int]:
     """(gap, i, j) for the closest pair i < j of the rows of an (n, m) array.
 
     Ties go to the lexicographically first pair; pairs at a NaN distance are
-    skipped.  With fewer than two comparable rows the gap is inf.
+    skipped.  Without a comparable pair the result is (inf, 0, 0).
     """
     rows = np.asarray(rows, dtype=complex)
     n = rows.shape[0]
