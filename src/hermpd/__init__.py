@@ -7,6 +7,8 @@ against brute-force numerical oracles.
 """
 
 from .exponents import (
+    COVERAGE_CELL_BUDGET,
+    CriterionBudgetError,
     CriterionVerdict,
     DifferenceProfile,
     ExponentFamily,
@@ -31,6 +33,7 @@ from .kernel import (
     ComplexPointSet,
     FamilyWeight,
     GramMatrix,
+    KernelRangeError,
     WeightRule,
     conjugate_model,
     diagonal_factorial_model,
@@ -59,6 +62,8 @@ from .construction import (
     AnnihilationWitness,
     DecompositionResult,
     OriginWitnessNeeded,
+    WITNESS_POINT_BUDGET,
+    WitnessBudgetError,
     block_extend,
     build_counterexample,
     character_coefficients,

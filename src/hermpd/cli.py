@@ -2,9 +2,14 @@
 
 Commands ingest UTF-8 JSON files, print a machine-readable report to stdout,
 and signal outcomes through exit codes: 0 success (criterion holds), 1 a
-selftest failure or an internal RuntimeError, 2 input error, 3 criterion
-fails, 4 construction impossible because the criterion holds.  Reports are
-deterministic for fixed inputs, seed, and version up to the elapsed_ms field.
+selftest failure or an internal RuntimeError, 2 input refused, 3 criterion
+fails, 4 construction impossible because the criterion holds.  Exit 2 prints
+one line on stderr; its causes are a malformed or invalid input file, a
+non-finite number (NaN or infinity) in it, a value out of double-precision
+range (a kernel series or tail bound that overflows), a work budget (the
+criterion's residue cells, a witness's points) and an uncertifiable
+truncation.  Reports are deterministic for fixed inputs, seed, and version
+up to the elapsed_ms field.
 """
 
 from __future__ import annotations

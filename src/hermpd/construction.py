@@ -123,11 +123,27 @@ def block_extend(a, coeff_a: complex, coeff_b: complex, tol: float = 1e-12) -> n
 
 # --- annihilating configurations ---------------------------------------------
 
+WITNESS_POINT_BUDGET = 1 << 16
+"""Most points an annihilating configuration may have; past it, WitnessBudgetError."""
+
+
+class WitnessBudgetError(ValueError):
+    """The annihilating configuration would exceed WITNESS_POINT_BUDGET points."""
+
+
+def _check_witness_size(points: int, p: int, q: int) -> None:
+    if points > WITNESS_POINT_BUDGET:
+        raise WitnessBudgetError(
+            f"a witness for the class ({p}, {q}) needs {points} points, over the budget of {WITNESS_POINT_BUDGET}; refused"
+        )
+
+
 def character_coefficients(p: int, q: int) -> np.ndarray:
     """d_t = exp(-2 pi i t q / p): sum_t d_t exp(2 pi i t s / p) is p at
     s = q mod p and exactly 0 at every other residue."""
     if p < 1 or not 0 <= q < p:
         raise ValueError(f"need p >= 1 and 0 <= q < p, got ({p}, {q})")
+    _check_witness_size(p, p, q)
     t = np.arange(p)
     return np.exp(-2j * np.pi * t * q / p)
 
@@ -182,7 +198,9 @@ def build_counterexample(
     p(N+1) replicated points are pairwise distinct.  Row coefficients come
     from the nullspace of the N x (N+1) exponential-sum system; column
     coefficients are the closed-form character coefficients.  Every monomial
-    with k + l <= truncation is then checked to vanish within tol.
+    with k + l <= truncation is then checked to vanish within tol.  A
+    configuration of more than WITNESS_POINT_BUDGET points is refused with
+    WitnessBudgetError before anything is allocated.
     """
     if verdict.holds:
         raise ValueError("criterion holds; no annihilating configuration exists")
@@ -193,6 +211,7 @@ def build_counterexample(
     p, q = verdict.failing_class
     shifts = class_difference_values(spec, p, q)
     n_vals = len(shifts)
+    _check_witness_size(p * (n_vals + 1), p, q)
     thetas = 2 * np.pi * np.arange(1, n_vals + 2) / (p * (n_vals + 2))
     exponents = q + np.asarray(shifts, dtype=float) * p
     system = np.exp(1j * np.outer(exponents, thetas))

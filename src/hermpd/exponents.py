@@ -7,16 +7,35 @@ difference profile ``{k - l}`` decidable in closed form.  Strictness of the
 induced kernel reduces to a residue-coverage condition on that profile: the
 origin pair must belong to the set, and every residue class q mod p must
 contain infinitely many distinct difference values.  The infinite quantifier
-over p collapses to the divisors of a single effective modulus (the lcm of
+over p collapses to the divisors of a single effective modulus p* (the lcm of
 the progression strides), which is what makes the check finite.
+
+``check_strict_criterion`` decides p* first and, only when p* fails, walks
+the divisors of p* in ascending order, generated from the strides' prime
+factorizations.  At each divisor a stride coprime to it, or a prefix of the
+cosets (sorted by modulus) covering Z/lcm of their moduli, settles coverage
+without a scan; otherwise the cosets are marked in windows of a bytearray
+and the first unmarked cell is the smallest uncovered class.  The work of
+one call is bounded by COVERAGE_CELL_BUDGET, past which the spec is refused
+with CriterionBudgetError: deciding a general covering system is hard.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Optional
+
+COVERAGE_CELL_BUDGET = 1 << 24
+"""Work one criterion call may do, in residue cells marked or scanned; trial
+divisions and divisor visits are charged in cells too, by their running time."""
+_TRIAL_CELLS = 1 << 4
+_VISIT_CELLS = 1 << 10
+_WINDOW = 1 << 16  # cells marked per bytearray pass
+_ONES = memoryview(b"\x01" * _WINDOW)
 
 
 class ExponentPair(NamedTuple):
@@ -178,6 +197,25 @@ def effective_modulus(profile: DifferenceProfile) -> int:
     return math.lcm(*(abs(d) for _, d in profile.progressions))
 
 
+def _cosets(progressions, p: int) -> list[tuple[int, int]]:
+    """The distinct cosets r + gZ, g = gcd(d, p), of the progressions mod p,
+    as (g, r) pairs in ascending order."""
+    return sorted({(g := math.gcd(d, p), offset % g) for offset, d in progressions})
+
+
+def _mark(cosets, base: int, width: int) -> tuple[bytearray, int]:
+    """Cells base..base+width-1 (width <= _WINDOW), set to 1 where some coset
+    (g, r) holds the index, and the number of cells written."""
+    covered = bytearray(width)
+    written = 0
+    for g, r in cosets:
+        start = (r - base) % g
+        count = (width - 1 - start) // g + 1
+        covered[start::g] = _ONES[:count]
+        written += count
+    return covered, written
+
+
 def residue_coverage(profile: DifferenceProfile, p: int) -> set[int]:
     """Residues q mod p hit by infinitely many distinct difference values.
 
@@ -186,10 +224,11 @@ def residue_coverage(profile: DifferenceProfile, p: int) -> set[int]:
     """
     if p < 1:
         raise ValueError(f"modulus must be positive, got {p}")
-    covered: set[int] = set()
-    for offset, d in profile.progressions:
-        g = math.gcd(abs(d), p)
-        covered.update(range(offset % g, p, g))
+    cosets = _cosets(profile.progressions, p)
+    covered = set()
+    for base in range(0, p, _WINDOW):
+        marked, _ = _mark(cosets, base, min(_WINDOW, p - base))
+        covered.update(compress(range(base, p), marked))
     return covered
 
 
@@ -211,8 +250,97 @@ def residue_coverage_bruteforce(profile: DifferenceProfile, p: int, reps: int = 
     return covered
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+class CriterionBudgetError(ValueError):
+    """Deciding the criterion would cost more than COVERAGE_CELL_BUDGET cells."""
+
+
+class _Budget:
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = COVERAGE_CELL_BUDGET
+
+    def spend(self, cells: int, what: str, *args) -> None:
+        """Charge cells; past the budget, refuse with what.format(*args)."""
+        self.left -= cells
+        if self.left < 0:
+            raise CriterionBudgetError(
+                f"criterion refused: {what.format(*args)} exceeds the work budget of {COVERAGE_CELL_BUDGET} residue cells"
+            )
+
+
+def _first_gap(cosets, modulus: int, budget: _Budget) -> Optional[int]:
+    """Smallest residue mod ``modulus`` in none of the cosets (each g divides
+    the modulus), or None; marked one window of cells at a time."""
+    for base in range(0, modulus, _WINDOW):
+        width = min(_WINDOW, modulus - base)
+        covered, written = _mark(cosets, base, width)
+        budget.spend(width + written, "marking the residues mod {}", modulus)
+        gap = covered.find(0)
+        if gap >= 0:
+            return base + gap
+    return None
+
+
+def _first_uncovered(cosets, p: int, budget: _Budget) -> Optional[int]:
+    """Smallest q mod p outside every coset, or None when they cover Z/p.
+
+    A coset with g = 1 covers everything.  Beyond one window, and unless the
+    density sum of 1/g falls short of 1 (then some class is uncovered), a
+    prefix of the cosets sorted by g that covers Z/lcm(prefix g) covers
+    every integer, which settles p without marking p cells.
+    """
+    if cosets and cosets[0][0] == 1:
+        return None
+    if p > _WINDOW and sum(p // g for g, _ in cosets) >= p:
+        modulus = 1
+        for i, (g, _) in enumerate(cosets):
+            grown = math.lcm(modulus, g)
+            if grown == modulus:
+                continue
+            if i and _first_gap(cosets[:i], modulus, budget) is None:
+                return None
+            if grown >= p:
+                break
+            modulus = grown
+    return _first_gap(cosets, p, budget)
+
+
+def _prime_factors(n: int, budget: _Budget) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division (2, then odd f)."""
+    stride = n
+    factors: dict[int, int] = {}
+    last = 2 * (budget.left // _TRIAL_CELLS)  # the largest f the budget pays for
+    f = 2
+    while f * f <= n:
+        if f > last:
+            budget.spend(budget.left + 1, "factoring the stride {}", stride)
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    budget.spend(f // 2 * _TRIAL_CELLS, "factoring the stride {}", stride)
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _divisors_above_one(factors: dict[int, int]):
+    """Divisors d > 1 of prod(p^e) in ascending order, generated lazily.
+
+    Each divisor is reached once: from d, whose largest prime is primes[k]
+    with exponent a, push d * primes[k] (if a < e_k) and d * primes[j] for
+    every j > k.
+    """
+    primes = sorted(factors)
+    heap = [(prime, k, 1) for k, prime in enumerate(primes)]  # sorted, so a heap
+    while heap:
+        d, k, a = heapq.heappop(heap)
+        yield d
+        if a < factors[primes[k]]:
+            heapq.heappush(heap, (d * primes[k], k, a + 1))
+        for j in range(k + 1, len(primes)):
+            heapq.heappush(heap, (d * primes[j], j, 1))
 
 
 def check_strict_criterion(spec: ExponentSetSpec) -> CriterionVerdict:
@@ -220,22 +348,43 @@ def check_strict_criterion(spec: ExponentSetSpec) -> CriterionVerdict:
 
     Holds iff the origin pair is present (unless the spec is in sphere mode)
     and every residue class mod every p contains infinitely many distinct
-    difference values.  Coverage is checked at the effective modulus p* and,
-    as a guard, at each of its divisors; on failure the smallest failing
-    (p, q) located by an ascending scan over p = 1..p* is reported.
+    difference values.  Coverage mod p depends only on g_i = gcd(d_i, p), so
+    a failing p fails at the divisor lcm(g_i) of p* as well: only divisors
+    of p* are visited.  Coverage at p* implies it at every divisor, so p* is
+    decided first; if it is covered the criterion holds.  Otherwise the
+    divisors, built from the strides' trial-division factorizations, are
+    walked in ascending order and the first that fails gives the smallest
+    failing (p, q).  At each divisor a stride with g = 1 or a covering
+    prefix of the cosets (see ``_first_uncovered``) settles coverage;
+    otherwise the cosets are marked one window at a time and the first
+    unmarked cell is q.
+
+    The work is bounded: marked and scanned cells, trial divisions and
+    divisor visits are charged against COVERAGE_CELL_BUDGET, and past it
+    CriterionBudgetError (a ValueError) refuses the spec.
     """
     profile = difference_profile(spec)
     pstar = effective_modulus(profile)
     origin_missing = spec.require_origin and not membership(spec, (0, 0))
+    progressions = profile.progressions
+    budget = _Budget()
     failing: Optional[tuple[int, int]] = None
-    fully_covered = all(len(residue_coverage(profile, p)) == p for p in _divisors(pstar))
-    if not fully_covered:
-        for p in range(1, pstar + 1):
-            cov = residue_coverage(profile, p)
-            if len(cov) < p:
-                failing = (p, min(set(range(p)) - cov))
+    q = _first_uncovered(_cosets(progressions, pstar), pstar, budget)
+    if q is not None:
+        failing = (pstar, q)
+        factors: dict[int, int] = {}
+        for d in {abs(d) for _, d in progressions}:
+            for prime, e in _prime_factors(d, budget).items():
+                factors[prime] = max(factors.get(prime, 0), e)
+        # p = 1 is covered by any progression, and without one p* = 1
+        for p in _divisors_above_one(factors):
+            if p == pstar:
                 break
-        assert failing is not None, "coverage failure must show at a divisor of p*"
+            budget.spend(_VISIT_CELLS, "walking the divisors of p* = {}", pstar)
+            q = _first_uncovered(_cosets(progressions, p), p, budget)
+            if q is not None:
+                failing = (p, q)
+                break
     holds = failing is None and not origin_missing
     return CriterionVerdict(
         holds=holds,

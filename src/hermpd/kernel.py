@@ -5,13 +5,16 @@ weights on points, and (w, rho) pairs on families whose s-th member gets
 w * rho^s / s!.  The factorial decay makes every model an entire function of
 (z, conj z), so series evaluation admits closed-form tail bounds and the
 kernel value f(a) = sum b(k, l) a^k conj(a)^l can be computed to any
-requested tolerance.  Gram matrices of inner products and of kernel values
+requested tolerance wherever it and its bound fit in double precision
+(elsewhere KernelRangeError refuses).  Weights and point coordinates must be
+finite; the JSON readers refuse NaN and infinities.  Gram matrices of inner products and of kernel values
 carry their Hermitian defect, and report fields for a spectral verdict that
 the caller fills from ``linalg.hermitian_eigen``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,6 +33,10 @@ from .exponents import (
 from .linalg import closest_pair, hermitian_defect, row_sum_scale
 
 
+class KernelRangeError(ValueError):
+    """A series value or bound overflows double precision at this argument."""
+
+
 @dataclass(frozen=True)
 class FamilyWeight:
     """Family weight rule: member s carries w * rho^s / s!."""
@@ -38,8 +45,10 @@ class FamilyWeight:
     rho: float
 
     def __post_init__(self):
-        if not (self.w > 0 and self.rho > 0):
-            raise ValueError(f"family weights must be positive, got {self!r}")
+        for name in ("w", "rho"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"family weight {name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,9 @@ class WeightRule:
 
     def __post_init__(self):
         pw = {_as_pair(p): float(w) for p, w in self.point_weights.items()}
-        if any(w <= 0 for w in pw.values()):
-            raise ValueError("point weights must be strictly positive")
+        for p, w in pw.items():
+            if not 0 < w < math.inf:
+                raise ValueError(f"point weight at {tuple(p)} must be positive and finite, got {w!r}")
         fw = tuple(f if isinstance(f, FamilyWeight) else FamilyWeight(*f) for f in self.family_weights)
         object.__setattr__(self, "point_weights", pw)
         object.__setattr__(self, "family_weights", fw)
@@ -125,51 +135,67 @@ def eval_kernel(model: CoefficientModel, a: complex, tol: float) -> complex:
 
     Explicit points are summed exactly.  Each family is cut at the first S
     whose remainder bound w |a|^(k0+l0) x^(S+1)/(S+1)! e^x, x = rho
-    |a|^(dk+dl), drops below tol divided by the family count.
+    |a|^(dk+dl), drops below tol divided by the family count.  A non-finite
+    argument, or one whose bound or value leaves double range, raises
+    KernelRangeError.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     a = complex(a)
-    ac = a.conjugate()
-    total = 0j
-    for p in model.spec.points:
-        total += model.rule.point_weights[p] * a**p.k * ac**p.l
-    if not model.spec.families:
+    if not cmath.isfinite(a):
+        raise KernelRangeError(f"kernel argument must be finite, got {a!r}")
+    try:
+        ac = a.conjugate()
+        total = 0j
+        for p in model.spec.points:
+            total += model.rule.point_weights[p] * a**p.k * ac**p.l
+        if model.spec.families:
+            budget = tol / len(model.spec.families)
+            r = abs(a)
+            for fam, fw in zip(model.spec.families, model.rule.family_weights):
+                step_deg = fam.step.k + fam.step.l
+                x = fw.rho * r**step_deg
+                base = fw.w * r ** (fam.start.k + fam.start.l) * math.exp(x)
+                cut = 0
+                remainder = x  # x^(S+1)/(S+1)! at S = 0
+                while base * remainder >= budget:
+                    cut += 1
+                    remainder *= x / (cut + 1)
+                zstep = a**fam.step.k * ac**fam.step.l
+                # one fused term per step: the ratio rho/(s+1) * zstep keeps the
+                # product bounded by base even where the bare monomial overflows
+                term = fw.w * a**fam.start.k * ac**fam.start.l
+                for s in range(cut + 1):
+                    total += term
+                    term *= zstep * (fw.rho / (s + 1))
+        if not cmath.isfinite(total):  # a float product overflowed without raising
+            raise OverflowError
         return total
-    budget = tol / len(model.spec.families)
-    r = abs(a)
-    for fam, fw in zip(model.spec.families, model.rule.family_weights):
-        step_deg = fam.step.k + fam.step.l
-        x = fw.rho * r**step_deg
-        base = fw.w * r ** (fam.start.k + fam.start.l) * math.exp(x)
-        cut = 0
-        remainder = x  # x^(S+1)/(S+1)! at S = 0
-        while base * remainder >= budget:
-            cut += 1
-            remainder *= x / (cut + 1)
-        zstep = a**fam.step.k * ac**fam.step.l
-        # one fused term per step: the ratio rho/(s+1) * zstep keeps the
-        # product bounded by base even where the bare monomial overflows
-        term = fw.w * a**fam.start.k * ac**fam.start.l
-        for s in range(cut + 1):
-            total += term
-            term *= zstep * (fw.rho / (s + 1))
-    return total
+    except OverflowError:
+        raise KernelRangeError(
+            f"kernel series overflows double precision at |a| = {math.hypot(a.real, a.imag):.6g}"
+        ) from None
 
 
 def truncation_tail_mass(model: CoefficientModel, truncation: int, radius: float) -> float:
-    """Upper bound on sum of b(k, l) radius^(k+l) over k + l > truncation."""
+    """Upper bound on sum of b(k, l) radius^(k+l) over k + l > truncation;
+    KernelRangeError when the bound overflows double precision."""
     radius = float(radius)
     mass = 0.0
-    for p, w in model.rule.point_weights.items():
-        if p.k + p.l > truncation:
-            mass += w * radius ** (p.k + p.l)
-    for fam, fw in zip(model.spec.families, model.rule.family_weights):
-        deg0 = fam.start.k + fam.start.l
-        step_deg = fam.step.k + fam.step.l
-        first = 0 if deg0 > truncation else (truncation - deg0) // step_deg + 1
-        x = fw.rho * radius**step_deg
-        mass += fw.w * radius**deg0 * x**first / math.factorial(first) * math.exp(x)
+    try:
+        for p, w in model.rule.point_weights.items():
+            if p.k + p.l > truncation:
+                mass += w * radius ** (p.k + p.l)
+        for fam, fw in zip(model.spec.families, model.rule.family_weights):
+            deg0 = fam.start.k + fam.start.l
+            step_deg = fam.step.k + fam.step.l
+            first = 0 if deg0 > truncation else (truncation - deg0) // step_deg + 1
+            x = fw.rho * radius**step_deg
+            mass += fw.w * radius**deg0 * x**first / math.factorial(first) * math.exp(x)
+    except OverflowError:
+        raise KernelRangeError(
+            f"truncation tail bound overflows double precision at radius {radius:.6g} (truncation {truncation})"
+        ) from None
     return mass
 
 
@@ -259,6 +285,18 @@ def schur_product(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
 
 # --- JSON ------------------------------------------------------------------
 
+def _finite(value, what: str, *args) -> float:
+    """A JSON number as a finite float; NaN, infinities and overflow are
+    refused, naming the field what.format(*args)."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what.format(*args)} must be a finite number, got {value!r}")
+    return x
+
+
 def model_to_json(model: CoefficientModel) -> dict:
     obj = spec_to_json(model.spec)
     obj["point_weights"] = [[p.k, p.l, w] for p, w in sorted(model.rule.point_weights.items())]
@@ -279,11 +317,11 @@ def model_from_json(obj: dict) -> CoefficientModel:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError(f"point weight entries must be [k, l, w], got {entry!r}")
         k, l, w = entry
-        point_weights[ExponentPair(k, l)] = float(w)
+        point_weights[ExponentPair(k, l)] = _finite(w, "point weight at [{}, {}]", k, l)
     family_weights = []
-    for entry in obj["family_weights"]:
+    for i, entry in enumerate(obj["family_weights"]):
         _require_keys(entry, {"w", "rho"}, "family weight")
-        family_weights.append(FamilyWeight(float(entry["w"]), float(entry["rho"])))
+        family_weights.append(FamilyWeight(*(_finite(entry[key], "family weight {} {}", i, key) for key in ("w", "rho"))))
     return CoefficientModel(spec, WeightRule(point_weights, tuple(family_weights)))
 
 
@@ -307,7 +345,8 @@ def points_from_json(obj: dict) -> ComplexPointSet:
         for cell in row:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise ValueError(f"coordinates must be [re, im] pairs, got {cell!r}")
-            coords.append(complex(float(cell[0]), float(cell[1])))
+            what = "coordinate of point {}"
+            coords.append(complex(_finite(cell[0], what, len(rows)), _finite(cell[1], what, len(rows))))
         rows.append(coords)
     if not rows:
         raise ValueError("point set must be nonempty")

@@ -119,10 +119,15 @@ def check_modulus_reduction(rng, level):
         profile = difference_profile(spec)
         pstar = effective_modulus(profile)
         verdict = check_strict_criterion(spec)
-        covered_all = all(len(residue_coverage(profile, p)) == p for p in range(1, 4 * pstar + 1))
+        scanned = None
+        for p in range(1, 4 * pstar + 1):
+            covered = residue_coverage(profile, p)
+            if len(covered) < p:
+                scanned = (p, min(set(range(p)) - covered))
+                break
         cases += 1
-        if covered_all != (verdict.failing_class is None):
-            failures.append(f"p* reduction disagrees with scan to {4 * pstar} for {spec}")
+        if scanned != verdict.failing_class:
+            failures.append(f"failing class {verdict.failing_class} disagrees with {scanned} scanned to {4 * pstar} for {spec}")
     return cases, failures
 
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import hermpd.construction
 from hermpd.construction import (
     OriginWitnessNeeded,
+    WitnessBudgetError,
     block_extend,
     build_counterexample,
+    character_coefficients,
     class_difference_values,
     origin_counterexample,
     split_gram,
@@ -129,6 +132,17 @@ def test_counterexample_origin_only_failure():
         build_counterexample(spec, verdict)
     point, coeff = origin_counterexample(spec)
     assert point == 0 and coeff == 1
+
+
+def test_witness_point_budget(monkeypatch):
+    spec = even_difference_spec()
+    verdict = check_strict_criterion(spec)
+    assert len(build_counterexample(spec, verdict).points) == 2  # p (N + 1) = 2 * 1
+    monkeypatch.setattr(hermpd.construction, "WITNESS_POINT_BUDGET", 1)
+    with pytest.raises(WitnessBudgetError, match="needs 2 points"):
+        build_counterexample(spec, verdict)
+    with pytest.raises(WitnessBudgetError, match="needs 5 points"):
+        character_coefficients(5, 1)
 
 
 def test_origin_counterexample_examples():

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hermpd.exponents
 from hermpd.exponents import (
+    CriterionBudgetError,
     ExponentFamily,
     ExponentSetSpec,
     check_strict_criterion,
@@ -164,6 +170,107 @@ def test_json_rejects_unknown_and_missing_fields():
     bad_family = {**good, "families": [{"start": [0, 0], "step": [1, 1], "stride": 2}]}
     with pytest.raises(ValueError, match="unknown"):
         spec_from_json(bad_family)
+
+
+def scanned_failing_class(spec, limit):
+    """Smallest (p, q) with q mod p uncovered, by an ascending scan to limit."""
+    profile = difference_profile(spec)
+    for p in range(1, limit + 1):
+        covered = residue_coverage(profile, p)
+        if len(covered) < p:
+            return (p, min(set(range(p)) - covered))
+    return None
+
+
+small_families = st.lists(
+    st.builds(
+        ExponentFamily,
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda step: step != (0, 0)),
+    ),
+    max_size=4,
+    unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_families)
+def test_failing_class_matches_ascending_scan(families):
+    spec = ExponentSetSpec(points=[(0, 0)], families=families)
+    verdict = check_strict_criterion(spec)
+    assert verdict.failing_class == scanned_failing_class(spec, 4 * verdict.effective_modulus)
+
+
+def test_coprime_strides_fail_at_pstar_quickly():
+    spec = ExponentSetSpec(
+        points=[(0, 0)], families=[ExponentFamily((0, 0), (999983, 0)), ExponentFamily((0, 0), (0, 1000003))]
+    )
+    started = time.perf_counter()
+    verdict = check_strict_criterion(spec)
+    assert time.perf_counter() - started < 0.01
+    # 1 lies in neither coset 0 mod 999983 nor 0 mod 1000003, and every
+    # proper divisor of p* is coprime to one of the strides
+    assert verdict.effective_modulus == 999983 * 1000003
+    assert verdict.failing_class == (999983 * 1000003, 1)
+
+
+def test_stride_two_pair_covers_a_huge_modulus():
+    huge = 2 * 999983 * 1000003
+    spec = ExponentSetSpec(
+        points=[(0, 0)],
+        families=[ExponentFamily((0, 0), (2, 0)), ExponentFamily((1, 0), (2, 0)), ExponentFamily((0, 0), (huge, 0))],
+    )
+    verdict = check_strict_criterion(spec)
+    assert verdict.holds and verdict.effective_modulus == huge
+
+
+def test_even_strides_fail_at_two_under_a_huge_modulus():
+    spec = ExponentSetSpec(
+        points=[(0, 0)], families=[ExponentFamily((0, 0), (2 * 999983, 0)), ExponentFamily((0, 0), (0, 2 * 1000003))]
+    )
+    verdict = check_strict_criterion(spec)
+    assert verdict.effective_modulus == 2 * 999983 * 1000003
+    assert verdict.failing_class == (2, 1)
+
+
+def test_first_gap_beyond_one_window():
+    # cosets 2^k - 1 mod 2^(k+1), k < 17, miss only -1 mod 2^17, which lies
+    # in the second 64 Ki window; every proper divisor of 2^17 is covered
+    families = [ExponentFamily((2**k - 1, 0), (2 ** (k + 1), 0)) for k in range(17)]
+    spec = ExponentSetSpec(points=[(0, 0)], families=families)
+    assert check_strict_criterion(spec).failing_class == (2**17, 2**17 - 1)
+    closed = ExponentSetSpec(points=[(0, 0)], families=families + [ExponentFamily((2**17 - 1, 0), (2**17, 0))])
+    assert check_strict_criterion(closed).holds
+
+
+def erdos_covering_spec():
+    """Differences in 0 mod 2, 0 mod 3, 1 mod 4, 5 mod 6 and 7 mod 12: Erdos's
+    covering system, so every class is covered, though no prefix covers."""
+    cosets = ((0, 2), (0, 3), (1, 4), (5, 6), (7, 12))
+    return ExponentSetSpec(points=[(0, 0)], families=[ExponentFamily((r, 0), (g, 0)) for r, g in cosets])
+
+
+def test_prefix_shortcut_beyond_one_window():
+    # with 1 mod 17*19*23*29 added, p* = 12 * 215441 spans 40 windows; the
+    # covering prefix mod 12 settles it.  Without 7 mod 12 the densities
+    # still sum past 1, and the smallest failure is (12 * 17, 7): below that
+    # the big stride's coset is all of Z
+    big = ExponentFamily((1, 0), (17 * 19 * 23 * 29, 0))
+    covering = erdos_covering_spec()
+    verdict = check_strict_criterion(ExponentSetSpec(covering.points, covering.families + (big,)))
+    assert verdict.holds and verdict.effective_modulus == 12 * 215441
+    gapped = ExponentSetSpec(covering.points, covering.families[:-1] + (big,))
+    assert check_strict_criterion(gapped).failing_class == (12 * 17, 7)
+
+
+def test_budget_refusal(monkeypatch):
+    assert check_strict_criterion(erdos_covering_spec()).holds
+    # deciding p* = 12 marks 16 cells and scans 12
+    monkeypatch.setattr(hermpd.exponents, "COVERAGE_CELL_BUDGET", 27)
+    with pytest.raises(CriterionBudgetError, match="work budget of 27 residue cells"):
+        check_strict_criterion(erdos_covering_spec())
+    monkeypatch.setattr(hermpd.exponents, "COVERAGE_CELL_BUDGET", 28)
+    assert check_strict_criterion(erdos_covering_spec()).holds
 
 
 # randomized invariants are stated once, in hermpd.selftest.CHECKS

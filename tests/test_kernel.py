@@ -13,6 +13,7 @@ from hermpd.kernel import (
     ComplexPointSet,
     FamilyWeight,
     GramMatrix,
+    KernelRangeError,
     WeightRule,
     conjugate_model,
     diagonal_factorial_model,
@@ -22,6 +23,7 @@ from hermpd.kernel import (
     kernel_gram,
     model_from_json,
     model_to_json,
+    points_from_json,
     schur_product,
     truncation_tail_mass,
     unit_weights,
@@ -204,6 +206,38 @@ def test_weight_validation():
         CoefficientModel(spec, WeightRule({ExponentPair(0, 0): 1.0}, ()))
     with pytest.raises(ValueError, match="cover"):
         CoefficientModel(spec, WeightRule({}, (FamilyWeight(1, 1),)))
+
+
+def test_weights_must_be_finite():
+    for w, rho in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FamilyWeight(w, rho)
+    with pytest.raises(ValueError, match=r"point weight at \(0, 0\)"):
+        WeightRule({ExponentPair(0, 0): math.inf}, ())
+
+
+def test_json_refuses_non_finite_numbers():
+    obj = model_to_json(unit_weights(ExponentSetSpec(points=[(0, 0)], families=[ExponentFamily((0, 0), (1, 1))])))
+    with pytest.raises(ValueError, match="family weight 0 rho must be a finite number"):
+        model_from_json({**obj, "family_weights": [{"w": 1.0, "rho": math.nan}]})
+    with pytest.raises(ValueError, match=r"point weight at \[0, 0\] must be a finite number"):
+        model_from_json({**obj, "point_weights": [[0, 0, 10**400]]})
+    points = {"dimension": 1, "points": [[[0.5, 0.0]], [[0.1, -math.inf]]]}
+    with pytest.raises(ValueError, match="coordinate of point 1 must be a finite number"):
+        points_from_json(points)
+
+
+def test_overflow_is_a_typed_refusal():
+    model = diagonal_factorial_model()
+    assert eval_kernel(model, 26.0, 1e-10).real > 1e293  # exp(676) still fits a double
+    for a in (27.0, 1e200 + 1e200j):
+        with pytest.raises(KernelRangeError, match=r"overflows double precision at \|a\| = "):
+            eval_kernel(model, a, 1e-10)
+    for a in (math.inf, math.nan):
+        with pytest.raises(KernelRangeError, match="must be finite"):
+            eval_kernel(model, a, 1e-10)
+    with pytest.raises(KernelRangeError, match="at radius 1000"):
+        truncation_tail_mass(model, 24, 1e3)
 
 
 # randomized invariants are stated once, in hermpd.selftest.CHECKS
