@@ -8,12 +8,14 @@ against brute-force numerical oracles.
 
 from .exponents import (
     COVERAGE_CELL_BUDGET,
+    TRUNCATION_MEMBER_BUDGET,
     CriterionBudgetError,
     CriterionVerdict,
     DifferenceProfile,
     ExponentFamily,
     ExponentPair,
     ExponentSetSpec,
+    TruncationBudgetError,
     check_strict_criterion,
     diagonal_spec,
     difference_profile,
@@ -25,8 +27,6 @@ from .exponents import (
     mixed_stride_spec,
     residue_coverage,
     residue_coverage_bruteforce,
-    spec_from_json,
-    spec_to_json,
 )
 from .kernel import (
     CoefficientModel,
@@ -41,8 +41,6 @@ from .kernel import (
     grid_factorial_model,
     inner_gram,
     kernel_gram,
-    model_from_json,
-    model_to_json,
     scalar_points,
     schur_product,
     truncation_tail_mass,
@@ -69,7 +67,6 @@ from .construction import (
     character_coefficients,
     origin_counterexample,
     split_gram,
-    witness_to_json,
 )
 from .oracle import (
     CollocationMatrix,
@@ -82,5 +79,6 @@ from .oracle import (
     quadratic_form,
     strictness_oracle,
 )
+from .schema import model_from_json, model_to_json, spec_from_json, spec_to_json, witness_to_json
 
 __version__ = "0.1.0"

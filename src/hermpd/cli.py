@@ -7,9 +7,9 @@ fails, 4 construction impossible because the criterion holds.  Exit 2 prints
 one line on stderr; its causes are a malformed or invalid input file, a
 non-finite number (NaN or infinity) in it, a value out of double-precision
 range (a kernel series or tail bound that overflows), a work budget (the
-criterion's residue cells, a witness's points) and an uncertifiable
-truncation.  Reports are deterministic for fixed inputs, seed, and version
-up to the elapsed_ms field.
+criterion's residue cells, a witness's points, the exponent pairs up to
+the truncation) and an uncertifiable truncation.  Reports are deterministic
+for fixed inputs, seed, and version up to the elapsed_ms field.
 """
 
 from __future__ import annotations
@@ -21,29 +21,22 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .construction import (
-    OriginWitnessNeeded,
-    build_counterexample,
-    origin_counterexample,
-    origin_witness_to_json,
-    split_gram,
-    witness_to_json,
-)
-from .exponents import check_strict_criterion, spec_from_json
-from .kernel import (
-    GramMatrix,
+from .construction import OriginWitnessNeeded, build_counterexample, origin_counterexample, split_gram
+from .exponents import check_strict_criterion
+from .kernel import GramMatrix, inner_gram, kernel_gram
+from .linalg import POSITIVE_DEFINITE, hermitian_eigen
+from .oracle import strictness_oracle
+from .schema import (
+    complex_pairs,
     gram_to_csv,
     gram_to_json,
-    inner_gram,
-    kernel_gram,
     model_from_json,
+    origin_witness_to_json,
     points_from_json,
+    spec_from_json,
+    witness_to_json,
 )
-from .linalg import POSITIVE_DEFINITE, hermitian_eigen
-from .oracle import TruncationGuardError, strictness_oracle
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -52,7 +45,7 @@ EXIT_CRITERION_FAILS = 3
 EXIT_NO_COUNTEREXAMPLE = 4
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -93,10 +86,6 @@ def _emit(report: dict, out: str | None = None) -> None:
     print(text)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
-
-
-def _complex_pairs(values) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values).ravel()]
 
 
 def cmd_jset_check(args) -> int:
@@ -149,11 +138,10 @@ def cmd_gram(args) -> int:
     inner = inner_gram(pts)
     kg = kernel_gram(model, inner, args.tol)
     spectrum = hermitian_eigen(kg.entries, max(args.tol, 1e-12))
-    kg.min_eigenvalue, kg.psd_verdict = spectrum.min, spectrum.verdict
     flags = {"seed": args.seed, "tol": args.tol}
     payload = {
         "inner_gram": gram_to_json(inner),
-        "kernel_gram": gram_to_json(kg),
+        "kernel_gram": gram_to_json(kg, spectrum),
         "spectrum": [float(v) for v in spectrum.eigenvalues],
         "psd_verdict": spectrum.verdict,
         "min_eigenvalue": spectrum.min,
@@ -186,7 +174,7 @@ def cmd_oracle(args) -> int:
         "strict": result.strict,
         "collocation_rank": result.collocation_rank,
         "tail_mass": result.tail_mass,
-        "witness": _complex_pairs(result.witness) if result.witness is not None else None,
+        "witness": complex_pairs(result.witness) if result.witness is not None else None,
         "witness_form": result.witness_form,
         "eigen_crosscheck": cross,
     }
@@ -198,16 +186,13 @@ def cmd_split(args) -> int:
     started = time.perf_counter()
     pts = points_from_json(_load_json(args.points))
     result = split_gram(pts, seed=args.seed, tol=args.tol)
-    a = inner_gram(pts).entries
-    recon = float(np.abs(a - (np.outer(result.scalars, np.conj(result.scalars)) + result.remainder)).max())
-    lam = hermitian_eigen(result.remainder, args.tol).min
     flags = {"seed": args.seed, "tol": args.tol}
     payload = {
-        "scalars": _complex_pairs(result.scalars),
+        "scalars": complex_pairs(result.scalars),
         "remainder": gram_to_json(GramMatrix(result.remainder)),
         "gap": result.gap,
-        "reconstruction_error": recon,
-        "remainder_min_eigenvalue": lam,
+        "reconstruction_error": result.reconstruction_error,
+        "remainder_min_eigenvalue": result.remainder_min_eigenvalue,
     }
     _emit(_report("split", [args.points], flags, started, payload), args.out)
     return EXIT_OK
@@ -223,8 +208,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if outcome["ok"] else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, truncation: bool = True) -> None:
-    parser.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance (default 1e-10)")
+def _add_common(parser: argparse.ArgumentParser, tol: bool = True, truncation: bool = True) -> None:
+    if tol:
+        parser.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance (default 1e-10)")
     if truncation:
         parser.add_argument("--truncation", type=int, default=24, help="total-degree cutoff (default 24)")
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -239,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jset-check", help="decide the strictness criterion for an exponent-set file")
     p.add_argument("spec", help="exponent set JSON")
     p.add_argument("--sphere", action="store_true", help="unit-sphere mode: drop the origin requirement")
-    _add_common(p, truncation=False)
+    _add_common(p, tol=False, truncation=False)
     p.set_defaults(fn=cmd_jset_check)
 
     p = sub.add_parser("counterexample", help="build an annihilating configuration for a failing spec")
@@ -268,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the invariant suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    _add_common(p, truncation=False)
+    _add_common(p, tol=False, truncation=False)
     p.set_defaults(fn=cmd_selftest)
 
     return parser
@@ -279,13 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, TypeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TruncationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

@@ -39,11 +39,14 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Split <z^r, z^s> = z_r conj(z_s) + M_rs with distinct scalars z."""
+    """Split <z^r, z^s> = z_r conj(z_s) + M_rs with distinct scalars z, with
+    the max-entry reconstruction error and the least eigenvalue of M."""
 
     scalars: np.ndarray
     remainder: np.ndarray
     gap: float
+    reconstruction_error: float
+    remainder_min_eigenvalue: float
 
 
 def split_gram(pts: ComplexPointSet, seed: int = 0, tol: float = 1e-10) -> DecompositionResult:
@@ -68,7 +71,7 @@ def split_gram(pts: ComplexPointSet, seed: int = 0, tol: float = 1e-10) -> Decom
     m, c = fact.rank, fact.factor
     if m == 0:
         # only possible for the single zero point
-        return DecompositionResult(np.zeros(n, dtype=complex), a.copy(), math.inf)
+        return _validated_split(a, np.zeros(n, dtype=complex), a.copy(), math.inf, tol)
     rng = np.random.default_rng(seed)
     for _ in range(64):
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -81,21 +84,19 @@ def split_gram(pts: ComplexPointSet, seed: int = 0, tol: float = 1e-10) -> Decom
         leftover = completion.copy()
         leftover[0] = 0
         b = leftover @ c
-        remainder = b.T @ np.conj(b)
-        result = DecompositionResult(z, remainder, gap)
-        _validate_split(a, result, tol)
-        return result
+        return _validated_split(a, z, b.T @ np.conj(b), gap, tol)
     raise RuntimeError(f"no separating direction found in 64 seeded draws (seed {seed})")
 
 
-def _validate_split(a: np.ndarray, result: DecompositionResult, tol: float) -> None:
+def _validated_split(a: np.ndarray, scalars, remainder, gap: float, tol: float) -> DecompositionResult:
     scale = max(row_sum_scale(a), 1.0)
-    recon = np.abs(a - (np.outer(result.scalars, np.conj(result.scalars)) + result.remainder)).max()
+    recon = float(np.abs(a - (np.outer(scalars, np.conj(scalars)) + remainder)).max())
     if recon > 10 * tol * scale:
         raise RuntimeError(f"split reconstruction error {recon:.3e} exceeds {10 * tol * scale:.3e}")
-    verdict = hermitian_eigen(result.remainder, tol).verdict
-    if verdict == INDEFINITE:
-        raise RuntimeError(f"split remainder is {verdict}")
+    spectrum = hermitian_eigen(remainder, tol)
+    if spectrum.verdict == INDEFINITE:
+        raise RuntimeError(f"split remainder is {spectrum.verdict}")
+    return DecompositionResult(scalars, remainder, gap, recon, spectrum.min)
 
 
 def block_extend(a, coeff_a: complex, coeff_b: complex, tol: float = 1e-12) -> np.ndarray:
@@ -249,27 +250,3 @@ def origin_counterexample(spec: ExponentSetSpec) -> tuple[complex, complex]:
         raise ValueError("exponent set contains the origin; the zero point annihilates nothing")
     return (0j, 1 + 0j)
 
-
-# --- JSON ------------------------------------------------------------------
-
-def witness_to_json(w: AnnihilationWitness) -> dict:
-    return {
-        "p": w.p,
-        "q": w.q,
-        "thetas": [float(t) for t in w.thetas],
-        "points": [[float(z.real), float(z.imag)] for z in w.points],
-        "coeffs": [[float(c.real), float(c.imag)] for c in w.coefficients],
-        "max_residual": w.max_residual,
-    }
-
-
-def origin_witness_to_json(point: complex, coeff: complex) -> dict:
-    """Origin witnesses share the witness schema, with no residue class."""
-    return {
-        "p": None,
-        "q": None,
-        "thetas": [],
-        "points": [[float(point.real), float(point.imag)]],
-        "coeffs": [[float(coeff.real), float(coeff.imag)]],
-        "max_residual": 0.0,
-    }

@@ -163,15 +163,29 @@ def membership(spec: ExponentSetSpec, e) -> bool:
     return any(fam.index_of(e) is not None for fam in spec.families)
 
 
+TRUNCATION_MEMBER_BUDGET = 1 << 16
+"""Most exponent pairs members_upto may list; past it, TruncationBudgetError."""
+
+
+class TruncationBudgetError(ValueError):
+    """A truncation would list more than TRUNCATION_MEMBER_BUDGET exponent pairs."""
+
+
 def members_upto(spec: ExponentSetSpec, total_degree: int) -> list[ExponentPair]:
-    """All (k, l) in J with k + l <= total_degree, lexicographic, deduplicated."""
+    """All (k, l) in J with k + l <= total_degree, lexicographic, deduplicated.
+
+    The pairs are counted in closed form first, and past
+    TRUNCATION_MEMBER_BUDGET refused with TruncationBudgetError.
+    """
     out = {p for p in spec.points if p.k + p.l <= total_degree}
-    for fam in spec.families:
-        deg0 = fam.start.k + fam.start.l
-        if deg0 > total_degree:
-            continue
-        step_deg = fam.step.k + fam.step.l
-        for s in range((total_degree - deg0) // step_deg + 1):
+    counts = [max(0, (total_degree - f.start.k - f.start.l) // (f.step.k + f.step.l) + 1) for f in spec.families]
+    count = len(out) + sum(counts)
+    if count > TRUNCATION_MEMBER_BUDGET:
+        raise TruncationBudgetError(
+            f"truncation {total_degree} asks for {count} exponent pairs, over the budget of {TRUNCATION_MEMBER_BUDGET}; refused"
+        )
+    for fam, c in zip(spec.families, counts):
+        for s in range(c):
             out.add(fam.member(s))
     return sorted(out)
 
@@ -424,50 +438,3 @@ def mixed_stride_spec() -> ExponentSetSpec:
         ]
     )
 
-
-# --- JSON ------------------------------------------------------------------
-
-def _require_keys(obj: dict, keys: set[str], what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    extra = set(obj) - keys
-    if extra:
-        raise ValueError(f"unknown fields in {what}: {sorted(extra)}")
-    missing = keys - set(obj)
-    if missing:
-        raise ValueError(f"missing fields in {what}: {sorted(missing)}")
-
-
-def _int_pair(value, what: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ):
-        raise ValueError(f"{what} must be a pair of integers, got {value!r}")
-    return (value[0], value[1])
-
-
-def spec_to_json(spec: ExponentSetSpec) -> dict:
-    return {
-        "points": [[p.k, p.l] for p in spec.points],
-        "families": [
-            {"start": [f.start.k, f.start.l], "step": [f.step.k, f.step.l]} for f in spec.families
-        ],
-        "require_origin": spec.require_origin,
-    }
-
-
-def spec_from_json(obj: dict) -> ExponentSetSpec:
-    """Parse the exponent-set schema; unknown or missing fields are rejected."""
-    _require_keys(obj, {"points", "families", "require_origin"}, "exponent set")
-    if not isinstance(obj["points"], list) or not isinstance(obj["families"], list):
-        raise ValueError("points and families must be lists")
-    if not isinstance(obj["require_origin"], bool):
-        raise ValueError("require_origin must be a boolean")
-    points = [_int_pair(p, "point") for p in obj["points"]]
-    families = []
-    for fam in obj["families"]:
-        _require_keys(fam, {"start", "step"}, "family")
-        families.append(ExponentFamily(_int_pair(fam["start"], "family start"), _int_pair(fam["step"], "family step")))
-    return ExponentSetSpec(points=points, families=families, require_origin=obj["require_origin"])

@@ -7,9 +7,8 @@ w * rho^s / s!.  The factorial decay makes every model an entire function of
 kernel value f(a) = sum b(k, l) a^k conj(a)^l can be computed to any
 requested tolerance wherever it and its bound fit in double precision
 (elsewhere KernelRangeError refuses).  Weights and point coordinates must be
-finite; the JSON readers refuse NaN and infinities.  Gram matrices of inner products and of kernel values
-carry their Hermitian defect, and report fields for a spectral verdict that
-the caller fills from ``linalg.hermitian_eigen``.
+finite.  Gram matrices of inner products and of kernel values carry their
+Hermitian defect.
 """
 
 from __future__ import annotations
@@ -17,19 +16,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .exponents import (
-    ExponentFamily,
-    ExponentPair,
-    ExponentSetSpec,
-    _as_pair,
-    _require_keys,
-    spec_from_json,
-    spec_to_json,
-)
+from .exponents import ExponentFamily, ExponentPair, ExponentSetSpec, _as_pair
 from .linalg import closest_pair, hermitian_defect, row_sum_scale
 
 
@@ -177,6 +167,17 @@ def eval_kernel(model: CoefficientModel, a: complex, tol: float) -> complex:
         ) from None
 
 
+def _tail_term(w: float, radius: float, deg0: int, x: float, first: int) -> float:
+    """w radius^deg0 x^first / first!: as written while first! fits a double
+    (first <= 170) and no factor overflows, otherwise through logarithms."""
+    if first <= 170:
+        try:
+            return w * radius**deg0 * x**first / math.factorial(first)
+        except OverflowError:
+            pass
+    return w * radius**deg0 * math.exp(first * math.log(x) - math.lgamma(first + 1)) if x else 0.0
+
+
 def truncation_tail_mass(model: CoefficientModel, truncation: int, radius: float) -> float:
     """Upper bound on sum of b(k, l) radius^(k+l) over k + l > truncation;
     KernelRangeError when the bound overflows double precision."""
@@ -191,7 +192,7 @@ def truncation_tail_mass(model: CoefficientModel, truncation: int, radius: float
             step_deg = fam.step.k + fam.step.l
             first = 0 if deg0 > truncation else (truncation - deg0) // step_deg + 1
             x = fw.rho * radius**step_deg
-            mass += fw.w * radius**deg0 * x**first / math.factorial(first) * math.exp(x)
+            mass += _tail_term(fw.w, radius, deg0, x, first) * math.exp(x)
     except OverflowError:
         raise KernelRangeError(
             f"truncation tail bound overflows double precision at radius {radius:.6g} (truncation {truncation})"
@@ -233,8 +234,6 @@ def scalar_points(values) -> ComplexPointSet:
 class GramMatrix:
     entries: np.ndarray
     hermitian_defect: float = field(init=False)
-    min_eigenvalue: Optional[float] = None
-    psd_verdict: Optional[str] = None
 
     def __post_init__(self):
         self.entries = np.atleast_2d(np.asarray(self.entries, dtype=complex))
@@ -282,93 +281,3 @@ def schur_product(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
         raise ValueError(f"dimension mismatch: {g1.entries.shape} vs {g2.entries.shape}")
     return GramMatrix(g1.entries * g2.entries)
 
-
-# --- JSON ------------------------------------------------------------------
-
-def _finite(value, what: str, *args) -> float:
-    """A JSON number as a finite float; NaN, infinities and overflow are
-    refused, naming the field what.format(*args)."""
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{what.format(*args)} must be a finite number, got {value!r}")
-    return x
-
-
-def model_to_json(model: CoefficientModel) -> dict:
-    obj = spec_to_json(model.spec)
-    obj["point_weights"] = [[p.k, p.l, w] for p, w in sorted(model.rule.point_weights.items())]
-    obj["family_weights"] = [{"w": f.w, "rho": f.rho} for f in model.rule.family_weights]
-    return obj
-
-
-def model_from_json(obj: dict) -> CoefficientModel:
-    """Parse the coefficient-model schema: the exponent-set fields plus weights."""
-    _require_keys(
-        obj, {"points", "families", "require_origin", "point_weights", "family_weights"}, "coefficient model"
-    )
-    spec = spec_from_json({k: obj[k] for k in ("points", "families", "require_origin")})
-    if not isinstance(obj["point_weights"], list) or not isinstance(obj["family_weights"], list):
-        raise ValueError("point_weights and family_weights must be lists")
-    point_weights = {}
-    for entry in obj["point_weights"]:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError(f"point weight entries must be [k, l, w], got {entry!r}")
-        k, l, w = entry
-        point_weights[ExponentPair(k, l)] = _finite(w, "point weight at [{}, {}]", k, l)
-    family_weights = []
-    for i, entry in enumerate(obj["family_weights"]):
-        _require_keys(entry, {"w", "rho"}, "family weight")
-        family_weights.append(FamilyWeight(*(_finite(entry[key], "family weight {} {}", i, key) for key in ("w", "rho"))))
-    return CoefficientModel(spec, WeightRule(point_weights, tuple(family_weights)))
-
-
-def points_to_json(pts: ComplexPointSet) -> dict:
-    return {
-        "dimension": pts.dimension,
-        "points": [[[float(z.real), float(z.imag)] for z in row] for row in pts.points],
-    }
-
-
-def points_from_json(obj: dict) -> ComplexPointSet:
-    _require_keys(obj, {"dimension", "points"}, "point set")
-    m = obj["dimension"]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"dimension must be a positive integer, got {m!r}")
-    rows = []
-    for row in obj["points"]:
-        if not isinstance(row, list) or len(row) != m:
-            raise ValueError(f"each point must list {m} coordinates, got {row!r}")
-        coords = []
-        for cell in row:
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise ValueError(f"coordinates must be [re, im] pairs, got {cell!r}")
-            what = "coordinate of point {}"
-            coords.append(complex(_finite(cell[0], what, len(rows)), _finite(cell[1], what, len(rows))))
-        rows.append(coords)
-    if not rows:
-        raise ValueError("point set must be nonempty")
-    return ComplexPointSet(np.asarray(rows, dtype=complex))
-
-
-def gram_to_json(g: GramMatrix) -> dict:
-    return {
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in g.entries],
-        "hermitian_defect": g.hermitian_defect,
-        "min_eigenvalue": g.min_eigenvalue,
-        "psd_verdict": g.psd_verdict,
-    }
-
-
-def gram_to_csv(g: GramMatrix) -> str:
-    """Row-major CSV with quoted "re,im" cells."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in g.entries:
-        writer.writerow([f"{float(v.real)!r},{float(v.imag)!r}" for v in row])
-    return buf.getvalue()

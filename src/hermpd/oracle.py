@@ -19,7 +19,7 @@ from .kernel import CoefficientModel, eval_kernel, truncation_tail_mass
 from .linalg import closest_pair, nullspace_vector, row_sum_scale
 
 
-class TruncationGuardError(RuntimeError):
+class TruncationGuardError(ValueError):
     """The weight mass ignored by the truncation is too large to certify."""
 
 

@@ -1,0 +1,191 @@
+"""The input-file and report-object formats, read and written in one place.
+
+Input files are JSON objects; every field is required and unknown fields
+are refused.  An exponent set has ``points`` ([k, l] integer pairs),
+``families`` ({"start": [k, l], "step": [dk, dl]}) and ``require_origin``;
+a coefficient model adds ``point_weights`` ([k, l, w]) and
+``family_weights`` ({"w", "rho"}, aligned with the families by index); a
+point set has ``dimension`` m and ``points``, each a list of m coordinates.
+
+Every complex number, read or written, is an [re, im] pair
+(``complex_pairs``), nested row-major for matrices; the Gram CSV quotes one
+"re,im" cell per entry.  Numbers read as floats (coordinates, weights, rho)
+must be finite: NaN, infinities and values that overflow a double are
+refused, naming the field.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from typing import Optional
+
+import numpy as np
+
+from .construction import AnnihilationWitness
+from .exponents import ExponentFamily, ExponentPair, ExponentSetSpec
+from .kernel import CoefficientModel, ComplexPointSet, FamilyWeight, GramMatrix, WeightRule
+from .linalg import HermitianSpectrum
+
+
+def complex_pairs(values) -> list:
+    """Complex values as [re, im] float pairs, nested to the array's shape."""
+    v = np.asarray(values, dtype=complex)
+    return np.stack([v.real, v.imag], -1).tolist()
+
+
+# --- guards ------------------------------------------------------------------
+
+def _require_keys(obj: dict, keys: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    extra = set(obj) - keys
+    if extra:
+        raise ValueError(f"unknown fields in {what}: {sorted(extra)}")
+    missing = keys - set(obj)
+    if missing:
+        raise ValueError(f"missing fields in {what}: {sorted(missing)}")
+
+
+def _int_pair(value, what: str) -> tuple[int, int]:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError(f"{what} must be a pair of integers, got {value!r}")
+    return (value[0], value[1])
+
+
+def _finite(value, what: str, *args) -> float:
+    """A JSON number as a finite float; NaN, infinities and overflow are
+    refused, naming the field what.format(*args)."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what.format(*args)} must be a finite number, got {value!r}")
+    return x
+
+
+# --- exponent sets and coefficient models ------------------------------------
+
+def spec_to_json(spec: ExponentSetSpec) -> dict:
+    return {
+        "points": [[p.k, p.l] for p in spec.points],
+        "families": [{"start": [f.start.k, f.start.l], "step": [f.step.k, f.step.l]} for f in spec.families],
+        "require_origin": spec.require_origin,
+    }
+
+
+def spec_from_json(obj: dict) -> ExponentSetSpec:
+    """Parse the exponent-set schema; unknown or missing fields are rejected."""
+    _require_keys(obj, {"points", "families", "require_origin"}, "exponent set")
+    if not isinstance(obj["points"], list) or not isinstance(obj["families"], list):
+        raise ValueError("points and families must be lists")
+    if not isinstance(obj["require_origin"], bool):
+        raise ValueError("require_origin must be a boolean")
+    points = [_int_pair(p, "point") for p in obj["points"]]
+    families = []
+    for fam in obj["families"]:
+        _require_keys(fam, {"start", "step"}, "family")
+        families.append(ExponentFamily(_int_pair(fam["start"], "family start"), _int_pair(fam["step"], "family step")))
+    return ExponentSetSpec(points=points, families=families, require_origin=obj["require_origin"])
+
+
+def model_to_json(model: CoefficientModel) -> dict:
+    obj = spec_to_json(model.spec)
+    obj["point_weights"] = [[p.k, p.l, w] for p, w in sorted(model.rule.point_weights.items())]
+    obj["family_weights"] = [{"w": f.w, "rho": f.rho} for f in model.rule.family_weights]
+    return obj
+
+
+def model_from_json(obj: dict) -> CoefficientModel:
+    """Parse the coefficient-model schema: the exponent-set fields plus weights."""
+    _require_keys(obj, {"points", "families", "require_origin", "point_weights", "family_weights"}, "coefficient model")
+    spec = spec_from_json({k: obj[k] for k in ("points", "families", "require_origin")})
+    if not isinstance(obj["point_weights"], list) or not isinstance(obj["family_weights"], list):
+        raise ValueError("point_weights and family_weights must be lists")
+    point_weights = {}
+    for entry in obj["point_weights"]:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValueError(f"point weight entries must be [k, l, w], got {entry!r}")
+        k, l, w = entry
+        point_weights[ExponentPair(k, l)] = _finite(w, "point weight at [{}, {}]", k, l)
+    family_weights = []
+    for i, entry in enumerate(obj["family_weights"]):
+        _require_keys(entry, {"w", "rho"}, "family weight")
+        family_weights.append(FamilyWeight(*(_finite(entry[key], "family weight {} {}", i, key) for key in ("w", "rho"))))
+    return CoefficientModel(spec, WeightRule(point_weights, tuple(family_weights)))
+
+
+# --- point sets and Gram matrices ----------------------------------------------
+
+def points_to_json(pts: ComplexPointSet) -> dict:
+    return {"dimension": pts.dimension, "points": complex_pairs(pts.points)}
+
+
+def points_from_json(obj: dict) -> ComplexPointSet:
+    _require_keys(obj, {"dimension", "points"}, "point set")
+    m = obj["dimension"]
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"dimension must be a positive integer, got {m!r}")
+    rows = []
+    for row in obj["points"]:
+        if not isinstance(row, list) or len(row) != m:
+            raise ValueError(f"each point must list {m} coordinates, got {row!r}")
+        coords = []
+        for cell in row:
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise ValueError(f"coordinates must be [re, im] pairs, got {cell!r}")
+            what = "coordinate of point {}"
+            coords.append(complex(_finite(cell[0], what, len(rows)), _finite(cell[1], what, len(rows))))
+        rows.append(coords)
+    if not rows:
+        raise ValueError("point set must be nonempty")
+    return ComplexPointSet(np.asarray(rows, dtype=complex))
+
+
+def gram_to_json(g: GramMatrix, spectrum: Optional[HermitianSpectrum] = None) -> dict:
+    """Entries and Hermitian defect; the least eigenvalue and PSD verdict
+    come from ``spectrum`` and are null without one."""
+    return {
+        "entries": complex_pairs(g.entries),
+        "hermitian_defect": g.hermitian_defect,
+        "min_eigenvalue": None if spectrum is None else spectrum.min,
+        "psd_verdict": None if spectrum is None else spectrum.verdict,
+    }
+
+
+def gram_to_csv(g: GramMatrix) -> str:
+    """Row-major CSV with quoted "re,im" cells."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([f"{re!r},{im!r}" for re, im in row] for row in complex_pairs(g.entries))
+    return buf.getvalue()
+
+
+# --- annihilating configurations -------------------------------------------------
+
+def witness_to_json(w: AnnihilationWitness) -> dict:
+    return {
+        "p": w.p,
+        "q": w.q,
+        "thetas": w.thetas.tolist(),
+        "points": complex_pairs(w.points),
+        "coeffs": complex_pairs(w.coefficients),
+        "max_residual": w.max_residual,
+    }
+
+
+def origin_witness_to_json(point: complex, coeff: complex) -> dict:
+    """Origin witnesses share the witness schema, with no residue class."""
+    return {
+        "p": None,
+        "q": None,
+        "thetas": [],
+        "points": complex_pairs([point]),
+        "coeffs": complex_pairs([coeff]),
+        "max_residual": 0.0,
+    }

@@ -14,16 +14,9 @@ from hermpd.exponents import (
     diagonal_spec,
     even_difference_spec,
     full_grid_spec,
-    spec_to_json,
 )
-from hermpd.kernel import (
-    diagonal_factorial_model,
-    grid_factorial_model,
-    model_to_json,
-    points_to_json,
-    scalar_points,
-    unit_weights,
-)
+from hermpd.kernel import diagonal_factorial_model, grid_factorial_model, scalar_points, unit_weights
+from hermpd.schema import model_to_json, points_to_json, spec_to_json
 
 
 @pytest.fixture
@@ -201,6 +194,15 @@ def test_split_command(workdir, capsys):
     dup = write("dup.json", {"dimension": 1, "points": [[[1.0, 0.0]], [[1.0, 0.0]]]})
     code, _, err = run(capsys, "split", dup)
     assert code == 2 and "distinct" in err
+
+
+def test_removed_tol_flag_is_refused(workdir, capsys):
+    tmp, write = workdir
+    diag = write("diag.json", spec_to_json(diagonal_spec()))
+    for argv in (["jset-check", diag, "--tol", "1e-3"], ["selftest", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_report_determinism(workdir, capsys):

@@ -15,7 +15,6 @@ from hermpd.construction import (
     class_difference_values,
     origin_counterexample,
     split_gram,
-    witness_to_json,
 )
 from hermpd.exponents import (
     ExponentFamily,
@@ -29,6 +28,7 @@ from hermpd.kernel import ComplexPointSet, diagonal_factorial_model, inner_gram,
 from hermpd.linalg import hermitian_eigen, row_sum_scale
 from hermpd.oracle import quadratic_form
 from hermpd.sampling import random_psd
+from hermpd.schema import witness_to_json
 from selftest_checks import full_level
 
 
@@ -46,8 +46,9 @@ def test_split_orthonormal_pair():
     assert abs(res.scalars[0] - res.scalars[1]) > 1e-10
     a = inner_gram(pts).entries
     recon = np.abs(a - (np.outer(res.scalars, np.conj(res.scalars)) + res.remainder)).max()
-    assert recon <= 1e-12
+    assert recon <= 1e-12 and res.reconstruction_error == recon
     assert hermitian_eigen(res.remainder, 1e-12).min >= -1e-12
+    assert res.remainder_min_eigenvalue == hermitian_eigen(res.remainder, 1e-10).min
 
 
 def test_split_rejects_coincident_points():

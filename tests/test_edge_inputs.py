@@ -7,18 +7,21 @@ from __future__ import annotations
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
 import hermpd.exponents
 from hermpd.cli import main
-from hermpd.exponents import ExponentFamily, ExponentSetSpec, spec_to_json
-from hermpd.kernel import diagonal_factorial_model, model_to_json, unit_weights
+from hermpd.exponents import ExponentFamily, ExponentSetSpec, even_difference_spec
+from hermpd.kernel import diagonal_factorial_model, unit_weights
+from hermpd.schema import model_to_json, spec_to_json
 from test_exponents import erdos_covering_spec
 
 COPRIME = ExponentSetSpec(
     points=[(0, 0)], families=[ExponentFamily((0, 0), (999983, 0)), ExponentFamily((0, 0), (0, 1000003))]
 )
+GOLDEN = Path(__file__).parent / "golden"
 AXIS = ExponentSetSpec(families=[ExponentFamily((0, 0), (1, 0)), ExponentFamily((0, 0), (0, 1))])
 
 
@@ -30,14 +33,14 @@ def scalar_points(*values: complex) -> dict:
 def cli(tmp_path, capsys):
     """Run the CLI on JSON objects written to files; returns (code, stdout, stderr, seconds)."""
 
-    def run(command, *objects):
+    def run(command, *objects, flags=()):
         paths = []
         for i, obj in enumerate(objects):
             path = tmp_path / f"input{i}.json"
             path.write_text(json.dumps(obj), encoding="utf-8")
             paths.append(str(path))
         started = time.perf_counter()
-        code = main([command, *paths])
+        code = main([command, *paths, *flags])
         elapsed = time.perf_counter() - started
         out, err = capsys.readouterr()
         return code, out, err, elapsed
@@ -94,3 +97,22 @@ def test_criterion_budget_is_refused(cli, monkeypatch):
     monkeypatch.setattr(hermpd.exponents, "COVERAGE_CELL_BUDGET", 27)
     result = cli("jset-check", spec_to_json(erdos_covering_spec()))
     assert_refused(*result, "criterion refused")
+
+
+@pytest.mark.parametrize("command", ["oracle", "counterexample"])
+def test_huge_truncation_is_refused(cli, command):
+    # the pairs are counted in closed form; listing them would take minutes
+    even = even_difference_spec()
+    inputs = [model_to_json(unit_weights(even, rho=0.2)), scalar_points(0.5, -0.5)] if command == "oracle" else [spec_to_json(even)]
+    result = cli(command, *inputs, flags=["--truncation", "1000000000"])
+    assert_refused(*result, "truncation 1000000000 asks for 1000000003 exponent pairs, over the budget")
+
+
+def test_tail_bound_past_factorial_range(cli):
+    # the grid16 tail bound at truncation 170 divides by 171!, past double range
+    model = json.loads((GOLDEN / "model_grid16.json").read_text(encoding="utf-8"))
+    points = json.loads((GOLDEN / "points_annulus4.json").read_text(encoding="utf-8"))
+    code, out, err, elapsed = cli("oracle", model, points, flags=["--truncation", "170", "--tol", "1e-8"])
+    report = json.loads(out)
+    assert code == 0 and err == "" and elapsed < 1.0
+    assert report["strict"] is True and report["tail_mass"] < 1e-8

@@ -14,6 +14,7 @@ from hermpd.exponents import (
     CriterionBudgetError,
     ExponentFamily,
     ExponentSetSpec,
+    TruncationBudgetError,
     check_strict_criterion,
     diagonal_spec,
     difference_profile,
@@ -25,10 +26,9 @@ from hermpd.exponents import (
     mixed_stride_spec,
     residue_coverage,
     residue_coverage_bruteforce,
-    spec_from_json,
-    spec_to_json,
 )
 from hermpd.sampling import random_spec
+from hermpd.schema import spec_from_json, spec_to_json
 from selftest_checks import full_level
 
 
@@ -146,6 +146,18 @@ def test_members_upto():
     members = members_upto(spec, 4)
     assert members == [(0, 0), (0, 2), (0, 4), (2, 0), (4, 0)]
     assert members_upto(full_grid_spec(), 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
+
+
+def test_members_upto_budget(monkeypatch):
+    # counted before listing: the origin plus 3 members per family, 5 distinct
+    monkeypatch.setattr(hermpd.exponents, "TRUNCATION_MEMBER_BUDGET", 7)
+    assert len(members_upto(even_difference_spec(), 4)) == 5
+    monkeypatch.setattr(hermpd.exponents, "TRUNCATION_MEMBER_BUDGET", 6)
+    with pytest.raises(TruncationBudgetError, match="truncation 4 asks for 7 exponent pairs, over the budget of 6"):
+        members_upto(even_difference_spec(), 4)
+    monkeypatch.undo()
+    with pytest.raises(TruncationBudgetError, match="asks for 1000000003 exponent pairs"):
+        members_upto(even_difference_spec(), 10**9)
 
 
 def test_json_round_trip():

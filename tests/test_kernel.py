@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,15 +22,13 @@ from hermpd.kernel import (
     grid_factorial_model,
     inner_gram,
     kernel_gram,
-    model_from_json,
-    model_to_json,
-    points_from_json,
     schur_product,
     truncation_tail_mass,
     unit_weights,
 )
 from hermpd.linalg import INDEFINITE, POSITIVE_SEMIDEFINITE, hermitian_eigen
 from hermpd.sampling import random_psd, random_spec, random_weights
+from hermpd.schema import model_from_json, model_to_json, points_from_json
 from selftest_checks import full_level
 
 
@@ -238,6 +237,30 @@ def test_overflow_is_a_typed_refusal():
             eval_kernel(model, a, 1e-10)
     with pytest.raises(KernelRangeError, match="at radius 1000"):
         truncation_tail_mass(model, 24, 1e3)
+
+
+def _tail_mass_mpmath(model, truncation, radius):
+    """truncation_tail_mass's closed form, evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(radius)
+        mass = mpmath.fsum(w * r ** (p.k + p.l) for p, w in model.rule.point_weights.items() if p.k + p.l > truncation)
+        for fam, fw in zip(model.spec.families, model.rule.family_weights):
+            deg0 = fam.start.k + fam.start.l
+            first = 0 if deg0 > truncation else (truncation - deg0) // (fam.step.k + fam.step.l) + 1
+            x = fw.rho * r ** (fam.step.k + fam.step.l)
+            mass += fw.w * r**deg0 * x**first / mpmath.factorial(first) * mpmath.exp(x)
+        return mass
+
+
+def test_tail_mass_past_factorial_range():
+    # first! leaves double range from first = 171; at radius 30, x**first
+    # itself overflows at first = 401, although every bound here fits
+    axis = unit_weights(ExponentSetSpec(families=[ExponentFamily((0, 0), (1, 0)), ExponentFamily((0, 0), (0, 1))]))
+    for model, radius in ((diagonal_factorial_model(), 2.0), (axis, 30.0)):
+        for truncation in (170, 171, 400):
+            bound = truncation_tail_mass(model, truncation, radius)
+            exact = _tail_mass_mpmath(model, truncation, radius)
+            assert 1e-300 < exact < 1 and abs(bound - exact) <= 1e-9 * exact, (truncation, radius)
 
 
 # randomized invariants are stated once, in hermpd.selftest.CHECKS
