@@ -41,6 +41,7 @@ from .kernel import (
     grid_factorial_model,
     inner_gram,
     kernel_gram,
+    kernel_values,
     scalar_points,
     schur_product,
     truncation_tail_mass,

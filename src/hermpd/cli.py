@@ -21,6 +21,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .construction import OriginWitnessNeeded, build_counterexample, origin_counterexample, split_gram
 from .exponents import check_strict_criterion
@@ -264,7 +266,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # overflow to inf or NaN is refused by the finiteness checks, so
+        # numpy's floating-point warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,6 +9,16 @@ requested tolerance wherever it and its bound fit in double precision
 (elsewhere KernelRangeError refuses).  Weights and point coordinates must be
 finite.  Gram matrices of inner products and of kernel values carry their
 Hermitian defect.
+
+eval_kernel is the scalar evaluator.  kernel_values evaluates a whole array
+of arguments and returns, entry for entry, exactly the bits eval_kernel
+returns, or raises what the first raising entry raises; kernel_gram and
+oracle.quadratic_form use it.  It keeps real and imaginary parts as float
+arrays and repeats CPython's scalar float operations one by one (numpy's
+complex multiply, abs, exp and power differ from them in the last bit), and
+only the integer series cut comes from numpy's exp and power, checked
+against a band around the budget.  Below ARRAY_CROSSOVER arguments it calls
+eval_kernel per entry, which costs less there.
 """
 
 from __future__ import annotations
@@ -21,6 +31,11 @@ import numpy as np
 
 from .exponents import ExponentFamily, ExponentPair, ExponentSetSpec, _as_pair
 from .linalg import closest_pair, hermitian_defect, row_sum_scale
+
+
+# kernel_values evaluates at least this many arguments with array arithmetic,
+# fewer one by one; measured near the break-even of 1- and 2-family models
+ARRAY_CROSSOVER = 128
 
 
 class KernelRangeError(ValueError):
@@ -74,13 +89,19 @@ class CoefficientModel:
             raise ValueError("family weights must align with the families by index")
 
     def coefficient(self, k: int, l: int) -> float:
-        """Resolved b(k, l); 0 off the exponent set."""
+        """Resolved b(k, l); 0 off the exponent set; KernelRangeError when it
+        overflows double precision."""
         e = ExponentPair(k, l)
         total = self.rule.point_weights.get(e, 0.0)
-        for fam, fw in zip(self.spec.families, self.rule.family_weights):
-            s = fam.index_of(e)
-            if s is not None:
-                total += fw.w * fw.rho**s / math.factorial(s)
+        try:
+            for fam, fw in zip(self.spec.families, self.rule.family_weights):
+                s = fam.index_of(e)
+                if s is not None:
+                    total += _tail_term(fw.w, 1.0, 0, fw.rho, s)  # w rho^s / s!
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise KernelRangeError(f"coefficient b({k}, {l}) overflows double precision")
         return total
 
 
@@ -120,12 +141,29 @@ def conjugate_model(model: CoefficientModel) -> CoefficientModel:
     return CoefficientModel(spec, rule)
 
 
+def _series_cut(r: float, deg0: int, step_deg: int, fw: FamilyWeight, budget: float) -> int:
+    """First S whose remainder bound w r^deg0 x^(S+1)/(S+1)! e^x, x = rho
+    r^step_deg, drops below budget; OverflowError where x or a factor of the
+    bound leaves double range."""
+    x = fw.rho * r**step_deg
+    if x == math.inf:  # math.exp(inf) does not raise, and the loop would never end
+        raise OverflowError
+    base = fw.w * r**deg0 * math.exp(x)
+    cut = 0
+    remainder = x  # x^(S+1)/(S+1)! at S = 0
+    while base * remainder >= budget:
+        cut += 1
+        remainder *= x / (cut + 1)
+    return cut
+
+
 def eval_kernel(model: CoefficientModel, a: complex, tol: float) -> complex:
     """Truncated series value F with |F - f(a)| <= tol.
 
     Explicit points are summed exactly.  Each family is cut at the first S
     whose remainder bound w |a|^(k0+l0) x^(S+1)/(S+1)! e^x, x = rho
-    |a|^(dk+dl), drops below tol divided by the family count.  A non-finite
+    |a|^(dk+dl), drops below tol divided by the family count (or below the
+    smallest positive double, where that quotient underflows).  A non-finite
     argument, or one whose bound or value leaves double range, raises
     KernelRangeError.
     """
@@ -140,24 +178,18 @@ def eval_kernel(model: CoefficientModel, a: complex, tol: float) -> complex:
         for p in model.spec.points:
             total += model.rule.point_weights[p] * a**p.k * ac**p.l
         if model.spec.families:
-            budget = tol / len(model.spec.families)
+            budget = tol / len(model.spec.families) or math.ulp(0.0)
             r = abs(a)
             for fam, fw in zip(model.spec.families, model.rule.family_weights):
-                step_deg = fam.step.k + fam.step.l
-                x = fw.rho * r**step_deg
-                base = fw.w * r ** (fam.start.k + fam.start.l) * math.exp(x)
-                cut = 0
-                remainder = x  # x^(S+1)/(S+1)! at S = 0
-                while base * remainder >= budget:
-                    cut += 1
-                    remainder *= x / (cut + 1)
-                zstep = a**fam.step.k * ac**fam.step.l
+                start, step, rho = fam.start, fam.step, fw.rho
+                cut = _series_cut(r, start.k + start.l, step.k + step.l, fw, budget)
+                zstep = a**step.k * ac**step.l
                 # one fused term per step: the ratio rho/(s+1) * zstep keeps the
                 # product bounded by base even where the bare monomial overflows
-                term = fw.w * a**fam.start.k * ac**fam.start.l
+                term = fw.w * a**start.k * ac**start.l
                 for s in range(cut + 1):
                     total += term
-                    term *= zstep * (fw.rho / (s + 1))
+                    term *= zstep * (rho / (s + 1))
         if not cmath.isfinite(total):  # a float product overflowed without raising
             raise OverflowError
         return total
@@ -165,6 +197,222 @@ def eval_kernel(model: CoefficientModel, a: complex, tol: float) -> complex:
         raise KernelRangeError(
             f"kernel series overflows double precision at |a| = {math.hypot(a.real, a.imag):.6g}"
         ) from None
+
+
+# --- the same values over an array of arguments ----------------------------------
+
+def _cmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """CPython's complex product (_Py_c_prod) on float arrays whose first axis
+    holds (re, im)."""
+    straight, crossed = x * y, x * y[::-1]
+    if out is None:
+        out = np.empty_like(straight)
+    np.subtract(straight[0], straight[1], out=out[0])
+    np.add(crossed[0], crossed[1], out=out[1])
+    return out
+
+
+class _Monomials:
+    """w a^k conj(a)^l over an array a held as (re, im) float rows, formed
+    with the float operations of eval_kernel's scalar expression.
+
+    CPython raises a complex to an integer power k <= 100 by binary powering
+    from 1: it multiplies the squares a^(2^j) in ascending j.  Multiplying by
+    the exact 1 (power 0) or by a real w changes at most the sign of a zero
+    component, which no later product or sum turns into a different nonzero
+    value, and a sum that starts at +0 never holds a -0.  conj(a)^l is
+    conj(a^l) because rounding is symmetric.  finite marks the entries at
+    which every power formed so far is finite, as CPython's complex power
+    needs to return instead of raising OverflowError.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.squares = [a]
+        self.one = np.zeros_like(a)
+        self.one[0] = 1.0
+        self.finite = np.ones(a.shape[1:], dtype=bool)
+
+    def power(self, k: int) -> np.ndarray | None:
+        """a^k, or None for the exact 1 at k = 0."""
+        result = None
+        for j in range(k.bit_length()):
+            if j == len(self.squares):
+                self.squares.append(_cmul(self.squares[-1], self.squares[-1]))
+            if k >> j & 1:
+                result = self.squares[j] if result is None else _cmul(result, self.squares[j])
+        if result is not None:
+            self.finite &= np.isfinite(result).all(axis=0)
+        return result
+
+    def __call__(self, k: int, l: int, w: float | None = None) -> np.ndarray:
+        """(w a^k) conj(a)^l; a fresh array when w is given."""
+        value, conj = self.power(k), self.power(l)
+        if w is not None:
+            value = w * (self.one if value is None else value)
+        if conj is not None:
+            conj = conj * [[1.0], [-1.0]]
+            value = conj if value is None else _cmul(value, conj)
+        return self.one if value is None else value
+
+
+def _prefix(mask: np.ndarray) -> int:
+    """Length of the shortest prefix of mask that holds all its True entries."""
+    rev = mask[::-1]
+    i = int(rev.argmax())
+    return mask.size - i if rev[i] else 0
+
+
+def _normal(v: np.ndarray, top: float = 1e300) -> np.ndarray:
+    """v is 0 or lies in [1e-290, top]: no subnormal rounding, no overflow."""
+    return (v == 0) | ((v >= 1e-290) & (v <= top))
+
+
+def _array_cuts(r: np.ndarray, fams: list, budget: float) -> np.ndarray:
+    """_series_cut for every (family, weight) in fams (rows) at every finite
+    radius of r (descending), or -1 where it raises OverflowError; budget
+    must lie in [1e-280, 1e280].
+
+    numpy's power and exp may differ from libm's in the last bits.  While
+    every factor stays among normal doubles, that moves the product compared
+    at step S by a relative (x + S + 4) k ulp at most, for implementations
+    within k ulp, since x^(S+1)/(S+1)! is formed by the same multiplications
+    as in _series_cut.  A comparison outside the band 1e-12 (x + S + 4)
+    (about 4500 ulp per unit) therefore comes out as in _series_cut; entries
+    inside the band, or with a factor outside the normal range, take their
+    cut from _series_cut itself.  The bound grows with r, so the entries
+    still stepping stay within a prefix.
+    """
+    deg0 = np.array([[f.start.k + f.start.l] for f, _ in fams])
+    step_deg = np.array([[f.step.k + f.step.l] for f, _ in fams])
+    y = r**step_deg
+    x = np.array([[fw.rho] for _, fw in fams]) * y
+    p0 = r**deg0
+    base = np.array([[fw.w] for _, fw in fams]) * p0 * np.exp(x)
+    ok = _normal(y) & _normal(p0) & _normal(x, 700.0) & _normal(base)
+    remainder = x.copy()
+    prod = base * remainder
+    dist = np.abs(prod - budget)
+    alive = ok & (prod >= budget)
+    cut = np.zeros(x.shape, dtype=np.intp)
+    live = _prefix(alive.any(axis=0))
+    s = 0
+    while live:
+        s += 1
+        cut[:, :live] += alive[:, :live]
+        remainder[:, :live] *= x[:, :live] / (s + 1)
+        prod = base[:, :live] * remainder[:, :live]
+        np.minimum(dist[:, :live], np.abs(prod - budget), out=dist[:, :live])
+        alive[:, :live] &= prod >= budget
+        live = _prefix(alive[:, :live].any(axis=0))
+    # entries that kept stepping past their cut only lowered remainder and dist
+    ok &= ((remainder >= 1e-290) | (x == 0)) & (dist > 1e-12 * (x + cut + 4) * budget)
+    for f, i in zip(*np.nonzero(~ok & np.isfinite(r))):
+        try:
+            cut[f, i] = _series_cut(float(r[i]), int(deg0[f, 0]), int(step_deg[f, 0]), fams[f][1], budget)
+        except OverflowError:
+            cut[f, i] = -1
+    return cut
+
+
+def _add_series(total: np.ndarray, term: np.ndarray, zstep: np.ndarray, rho: float, cut: np.ndarray) -> None:
+    """total += term; term *= zstep * (rho/(s+1)) for s = 0..cut, in place on
+    (re, im) rows; cut is non-increasing, so the entries still summing form
+    a prefix."""
+    live = np.searchsorted(-cut, -np.arange(int(cut[0]) + 2), side="right")
+    for s in range(int(cut[0]) + 1):
+        n, m = live[s], live[s + 1]
+        total[:, :n] += term[:, :n]
+        if m:
+            _cmul(term[:, :m], zstep[:, :m] * (rho / (s + 1)), out=term[:, :m])
+
+
+def _max_exponent(model: CoefficientModel) -> int:
+    fams = model.spec.families
+    return max((max(p) for p in (*model.spec.points, *(f.start for f in fams), *(f.step for f in fams))), default=0)
+
+
+def kernel_values(model: CoefficientModel, args, tol: float) -> np.ndarray:
+    """eval_kernel(model, a, tol) at every entry a of args, bit for bit, as a
+    complex array of args' shape; raises what the first raising entry (in C
+    order) raises.
+
+    Below ARRAY_CROSSOVER evaluated entries, for exponents above 100 (where
+    CPython's complex power leaves binary powering) and for a per-family
+    budget outside [1e-280, 1e280], the entries go through eval_kernel one
+    by one.
+    Otherwise real and imaginary parts are float rows that repeat
+    eval_kernel's float operations: products as CPython forms them
+    (_Monomials, _cmul), families in model order, terms s = 0, 1, ... up to
+    each entry's own cut (_array_cuts, computed once per distinct |a|).
+    Entries with a non-finite argument, power or sum, or whose cut overflows,
+    then go through eval_kernel.
+
+    f(conj a) is conj f(a) bit for bit up to the sign of a zero, and a sum
+    never holds -0, so a square args equal to its conjugate transpose (a
+    Gram matrix) is evaluated on its upper triangle only.  The first raising
+    entry in C order lies there, because the mirror of a raising entry
+    raises too.
+    """
+    args = np.asarray(args, dtype=complex)
+    n = args.shape[0] if args.ndim == 2 and args.shape[0] == args.shape[1] else 0
+    if not (n and (args == args.conj().T).all()):
+        return _kernel_values(model, args.ravel(), tol).reshape(args.shape)
+    if n * (n + 1) // 2 >= ARRAY_CROSSOVER:
+        upper = np.triu_indices(n)
+        values = _kernel_values(model, args[upper], tol)
+        out = np.empty_like(args)
+        out.T[upper] = values.conj() + 0j  # the lower triangle; + 0j turns -0 into +0
+        out[upper] = values
+        return out
+    rows = args.tolist()
+    out = [[0j] * n for _ in range(n)]
+    for r in range(n):
+        for s in range(r, n):
+            value = eval_kernel(model, rows[r][s], tol)
+            out[s][r] = value.conjugate() + 0j
+            out[r][s] = value
+    return np.array(out, dtype=complex)
+
+
+def _kernel_values(model: CoefficientModel, flat: np.ndarray, tol: float) -> np.ndarray:
+    """kernel_values on a 1-D complex array."""
+    families = model.spec.families
+    budget = tol / len(families) if families else 1.0
+    if flat.size < ARRAY_CROSSOVER or not 1e-280 <= budget <= 1e280 or _max_exponent(model) > 100:
+        return np.array([eval_kernel(model, a, tol) for a in flat.tolist()], dtype=complex)
+    with np.errstate(all="ignore"):  # overflow is caught on the powers and sums
+        r = np.hypot(flat.real, flat.imag)  # bitwise abs(a), as closest_pair relies on
+        order = np.argsort(-r, kind="stable")
+        r = r[order]
+        monomial = _Monomials(np.stack([flat.real[order], flat.imag[order]]))
+        total = np.zeros((2, r.size))
+        for p in model.spec.points:
+            total += monomial(p.k, p.l, model.rule.point_weights[p])
+        bad = ~np.isfinite(r)
+        distinct = np.r_[True, r[1:] != r[:-1]]  # first entry of each distinct |a|
+        radii, expand = r[distinct], np.cumsum(distinct) - 1
+        fams = list(zip(families, model.rule.family_weights))
+        chunk = max(1, 8192 // radii.size)  # families per _array_cuts call, to bound memory
+        for lo in range(0, len(fams), chunk):
+            cuts = _array_cuts(radii, fams[lo : lo + chunk], budget)[:, expand]
+            for (fam, fw), cut in zip(fams[lo : lo + chunk], cuts):
+                bad |= cut < 0
+                np.maximum(cut, 0, out=cut)
+                term = monomial(fam.start.k, fam.start.l, fw.w)
+                zstep = monomial(fam.step.k, fam.step.l)
+                if np.all(cut[:-1] >= cut[1:]):
+                    _add_series(total, term, zstep, fw.rho, cut)
+                else:  # rounding broke the order by |a|: sort this family by its cut
+                    idx = np.argsort(-cut, kind="stable")
+                    part = total[:, idx]
+                    _add_series(part, term[:, idx], zstep[:, idx], fw.rho, cut[idx])
+                    total[:, idx] = part
+        bad |= ~(monomial.finite & np.isfinite(total).all(axis=0))
+    out = np.empty(r.size, dtype=complex)
+    out.real[order], out.imag[order] = total
+    for i in np.sort(order[bad]):
+        out[i] = eval_kernel(model, flat[i], tol)
+    return out
 
 
 def _tail_term(w: float, radius: float, deg0: int, x: float, first: int) -> float:
@@ -193,6 +441,8 @@ def truncation_tail_mass(model: CoefficientModel, truncation: int, radius: float
             first = 0 if deg0 > truncation else (truncation - deg0) // step_deg + 1
             x = fw.rho * radius**step_deg
             mass += _tail_term(fw.w, radius, deg0, x, first) * math.exp(x)
+        if not math.isfinite(mass):  # a float product saturated without raising
+            raise OverflowError
     except OverflowError:
         raise KernelRangeError(
             f"truncation tail bound overflows double precision at radius {radius:.6g} (truncation {truncation})"
@@ -262,15 +512,10 @@ def kernel_gram(model: CoefficientModel, g: GramMatrix, tol: float) -> GramMatri
         raise ValueError(f"tolerance must be positive, got {tol}")
     if g.hermitian_defect > tol * max(g.scale, 1.0):
         raise ValueError(f"input Gram is not Hermitian within tolerance: defect {g.hermitian_defect:.3e}")
-    n = g.n
-    out = np.empty((n, n), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            out[r, s] = eval_kernel(model, g.entries[r, s], tol)
-    result = GramMatrix(out)
+    result = GramMatrix(kernel_values(model, g.entries, tol))
     # truncation is symmetric in conjugate arguments, so the defect stays at
     # input defect + 2*tol up to rounding
-    allowance = n * tol + 64 * np.finfo(float).eps * max(result.scale, 1.0)
+    allowance = g.n * tol + 64 * np.finfo(float).eps * max(result.scale, 1.0)
     if result.hermitian_defect > allowance:
         raise ValueError(f"kernel Gram defect {result.hermitian_defect:.3e} exceeds {allowance:.3e}")
     return result

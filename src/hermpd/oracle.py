@@ -9,13 +9,14 @@ evaluator except where a cross-check is the point.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .exponents import ExponentPair, ExponentSetSpec, members_upto
-from .kernel import CoefficientModel, eval_kernel, truncation_tail_mass
+from .kernel import CoefficientModel, KernelRangeError, kernel_values, truncation_tail_mass
 from .linalg import closest_pair, nullspace_vector, row_sum_scale
 
 
@@ -76,6 +77,11 @@ def collocation(points, spec: ExponentSetSpec, truncation: int, tol: float = 1e-
     cols = members_upto(spec, truncation)
     if cols:
         entries = np.stack([pts**k * np.conj(pts) ** l for k, l in cols], axis=1)
+        if not np.isfinite(entries).all():
+            radius = float(np.abs(pts).max())
+            raise KernelRangeError(
+                f"collocation monomials overflow double precision at radius {radius:.6g} (truncation {truncation})"
+            )
         sing = np.linalg.svd(entries, compute_uv=False)
         rank = int((sing > tol * row_sum_scale(entries)).sum())
     else:
@@ -122,26 +128,40 @@ def strictness_oracle(
     tail2 = truncation_tail_mass(model, truncation, radius * radius)
     budget = below + norm1**2 * (tail2 + tol)
     if form > 10 * budget + n * n * tol:
-        raise RuntimeError(f"witness failed full-form validation: {form:.3e} > {budget:.3e}")
+        # the form is measured to 4 n eps |c|^T |K| |c|, and every kernel value
+        # is at most the whole weight mass at radius^2 (the tail past degree -1)
+        rounding = 4 * n * np.finfo(float).eps * norm1**2 * truncation_tail_mass(model, -1, radius * radius)
+        if form > 10 * budget + n * n * tol + rounding:
+            raise RuntimeError(f"witness failed full-form validation: {form:.3e} > {budget:.3e}")
     return StrictnessResult(False, witness, coll.rank, tail, witness_form=form)
 
 
 def quadratic_form(model: CoefficientModel, points, c, tol: float = 1e-10) -> float:
     """Real value of sum_{r,s} c_r f(z_r conj(z_s)) conj(c_s) via the
-    certified evaluator; the imaginary defect must stay below n^2 tol."""
+    certified evaluator; the imaginary defect must stay below n^2 tol plus
+    the rounding of the products, and a form that overflows raises
+    KernelRangeError."""
     pts = np.asarray(points, dtype=complex).ravel()
     c = np.asarray(c, dtype=complex).ravel()
     if pts.size != c.size:
         raise ValueError(f"mismatched lengths: {pts.size} points, {c.size} coefficients")
     n = pts.size
-    kmat = np.empty((n, n), dtype=complex)
-    for r in range(n):
-        for s in range(n):
-            kmat[r, s] = eval_kernel(model, pts[r] * np.conj(pts[s]), tol)
+    # z_r conj(z_s) with the float operations of numpy's scalar complex product
+    re, im, conj_im = pts.real, pts.imag, -pts.imag
+    args = np.empty((n, n), dtype=complex)
+    args.real = np.multiply.outer(re, re) - np.multiply.outer(im, conj_im)
+    args.imag = np.multiply.outer(re, conj_im) + np.multiply.outer(im, re)
+    kmat = kernel_values(model, args, tol)
     value = c @ kmat @ np.conj(c)
+    if not cmath.isfinite(value):
+        raise KernelRangeError(f"quadratic form overflows double precision on {n} points")
     defect = abs(value.imag)
     if defect > n * n * tol:
-        raise RuntimeError(f"quadratic form imaginary defect {defect:.3e} exceeds {n * n * tol:.1e}")
+        # kmat is Hermitian to the bit, so the imaginary part is the rounding
+        # of the two products, at most 4 n eps |c|^T |K| |c|
+        allowed = n * n * tol + 4 * n * np.finfo(float).eps * float(np.abs(c) @ np.abs(kmat) @ np.abs(c))
+        if defect > allowed:
+            raise RuntimeError(f"quadratic form imaginary defect {defect:.3e} exceeds {allowed:.1e}")
     return float(value.real)
 
 

@@ -1,12 +1,17 @@
 """One-line JSON inputs that once hung, crashed or lied: each must now give
 the correct verdict or a clean refusal (exit 2, one stderr line, no
-traceback), within a second."""
+traceback), within a second.  Output is captured at the file-descriptor
+level, warnings are errors, and a run past its deadline fails instead of
+hanging."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import signal
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,8 +34,24 @@ def scalar_points(*values: complex) -> dict:
     return {"dimension": 1, "points": [[[z.real, z.imag]] for z in map(complex, values)]}
 
 
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the running code once seconds have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"run exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
-def cli(tmp_path, capsys):
+def cli(tmp_path, capfd):
     """Run the CLI on JSON objects written to files; returns (code, stdout, stderr, seconds)."""
 
     def run(command, *objects, flags=()):
@@ -39,10 +60,13 @@ def cli(tmp_path, capsys):
             path = tmp_path / f"input{i}.json"
             path.write_text(json.dumps(obj), encoding="utf-8")
             paths.append(str(path))
+        capfd.readouterr()
         started = time.perf_counter()
-        code = main([command, *paths, *flags])
+        with deadline(10.0), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would add stderr lines
+            code = main([command, *paths, *flags])
         elapsed = time.perf_counter() - started
-        out, err = capsys.readouterr()
+        out, err = capfd.readouterr()
         return code, out, err, elapsed
 
     return run
@@ -116,3 +140,42 @@ def test_tail_bound_past_factorial_range(cli):
     report = json.loads(out)
     assert code == 0 and err == "" and elapsed < 1.0
     assert report["strict"] is True and report["tail_mass"] < 1e-8
+
+
+def test_overflowing_inner_product_prints_one_line(cli):
+    # |z|^2 = 1e600 overflows; numpy's overflow warnings used to precede the refusal
+    result = cli("gram", model_to_json(unit_weights(ExponentSetSpec())), scalar_points(1e300j))
+    assert_refused(*result, "kernel argument must be finite, got (inf+0j)")
+
+
+def test_collocation_overflow_is_refused(cli):
+    # z^3 conj(z)^2 = 1e750 overflows; LAPACK printed two lines before "SVD did not converge"
+    model = model_to_json(unit_weights(ExponentSetSpec(points=[(3, 2)])))
+    result = cli("oracle", model, scalar_points(1e150, 0.5 + 0.1j))
+    assert_refused(*result, "collocation monomials overflow double precision at radius 1e+150 (truncation 24)")
+
+
+def test_infinite_series_exponent_is_refused(cli):
+    # x = rho |a|^2 = inf made math.exp return inf and the series cut loop never end
+    model = model_to_json(unit_weights(diagonal_factorial_model().spec, rho=1e300))
+    result = cli("gram", model, scalar_points(1e5, 0.5))
+    assert_refused(*result, "kernel series overflows double precision at |a| = 1e+10")
+
+
+def test_coefficient_past_double_range_decided(cli):
+    # b(12, 12) = 1e26^12 / 12!: rho**s raised OverflowError as a traceback
+    model = model_to_json(unit_weights(diagonal_factorial_model().spec, rho=1e26))
+    code, out, err, elapsed = cli("oracle", model, scalar_points(1e-12, -1e-12))
+    assert code == 0 and err == "" and elapsed < 1.0
+    assert json.loads(out)["strict"] is False  # one modulus under a diagonal kernel
+
+
+def test_witness_form_rounding_decided(cli):
+    # f(z) = conj(z) is rank one; at |z| ~ 7e16 the form's rounding was taken for an
+    # imaginary defect (exit 1)
+    points = scalar_points(0.5 + 7.2e16j, 5.8e16 + 0.5j, 7.2e16 + 0.5j)
+    model = model_to_json(unit_weights(ExponentSetSpec(points=[(0, 1)])))
+    code, out, err, elapsed = cli("oracle", model, points)
+    assert code == 0 and err == "" and elapsed < 1.0
+    assert json.loads(out)["strict"] is False
+

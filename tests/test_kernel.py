@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermpd.exponents import ExponentFamily, ExponentPair, ExponentSetSpec
+import hermpd.kernel
+from hermpd.exponents import ExponentFamily, ExponentPair, ExponentSetSpec, even_difference_spec
 from hermpd.kernel import (
+    ARRAY_CROSSOVER,
     CoefficientModel,
     ComplexPointSet,
     FamilyWeight,
@@ -22,11 +28,14 @@ from hermpd.kernel import (
     grid_factorial_model,
     inner_gram,
     kernel_gram,
+    kernel_values,
+    scalar_points,
     schur_product,
     truncation_tail_mass,
     unit_weights,
 )
 from hermpd.linalg import INDEFINITE, POSITIVE_SEMIDEFINITE, hermitian_eigen
+from hermpd.oracle import quadratic_form
 from hermpd.sampling import random_psd, random_spec, random_weights
 from hermpd.schema import model_from_json, model_to_json, points_from_json
 from selftest_checks import full_level
@@ -261,6 +270,139 @@ def test_tail_mass_past_factorial_range():
             bound = truncation_tail_mass(model, truncation, radius)
             exact = _tail_mass_mpmath(model, truncation, radius)
             assert 1e-300 < exact < 1 and abs(bound - exact) <= 1e-9 * exact, (truncation, radius)
+
+
+def test_tail_mass_saturation_is_refused():
+    # with both family weights at 1e300 the bound saturates to inf at radius 5
+    # without an OverflowError; a finite bound keeps its bytes
+    model = unit_weights(even_difference_spec(), w=1e300)
+    assert truncation_tail_mass(model, 4, 3.0) == 1.9690493944008185e306
+    with pytest.raises(KernelRangeError, match=r"at radius 5 \(truncation 4\)"):
+        truncation_tail_mass(model, 4, 5.0)
+
+
+def test_series_cut_always_ends():
+    # x = rho |a|^2 = inf: math.exp(inf) does not raise, so the cut loop never ended
+    huge_rho = unit_weights(diagonal_factorial_model().spec, rho=1e300)
+    with pytest.raises(KernelRangeError, match=r"at \|a\| = 100000"):
+        eval_kernel(huge_rho, 1e5, 1e-10)
+    # tol / 2 underflows to 0, where the cut loop compared 0 >= 0 forever
+    two = unit_weights(ExponentSetSpec(families=[ExponentFamily((0, 0), (1, 1)), ExponentFamily((0, 0), (2, 0))]))
+    assert abs(eval_kernel(two, 0.5, 5e-324) - (math.exp(0.25) + math.exp(0.25))) < 1e-15
+
+
+# --- the array evaluator against the scalar one, bit for bit ------------------
+
+SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1, -1, 1j, -1j, 1e-300, -1e-300j]
+
+
+def outcome(evaluate):
+    """The bits of a complex or float result, or the error it raised."""
+    try:
+        return np.asarray(evaluate()).view(np.uint64).tolist()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def entry_loop(model, args, tol):
+    return np.array([eval_kernel(model, a, tol) for a in np.ravel(args)], dtype=complex).reshape(np.shape(args))
+
+
+def quadratic_form_loop(model, points, c, tol):
+    """quadratic_form's value over the kernel matrix of the double loop it
+    replaced."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    c = np.asarray(c, dtype=complex).ravel()
+    n = pts.size
+    kmat = np.empty((n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(n):
+            for s in range(n):
+                kmat[r, s] = eval_kernel(model, pts[r] * np.conj(pts[s]), tol)
+        value = c @ kmat @ np.conj(c)
+    if not np.isfinite(value):
+        raise KernelRangeError(f"quadratic form overflows double precision on {n} points")
+    return float(value.real)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    radius=st.floats(0.0, 3.0),
+    picks=st.lists(st.sampled_from(SPECIAL), max_size=6),
+    tol=st.sampled_from([1e-13, 1e-10, 1e-6]),
+)
+def test_kernel_values_bitwise(seed, radius, picks, tol):
+    rng = np.random.default_rng(seed)
+    model = random_weights(rng, random_spec(rng, max_stride=4))
+    z = radius * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+    args = np.concatenate([z, z.real + 0j, 1j * z.imag, picks])
+    assert args.size >= ARRAY_CROSSOVER  # the array path runs
+    assert outcome(lambda: kernel_values(model, args, tol)) == outcome(lambda: entry_loop(model, args, tol))
+    # a Hermitian argument matrix, evaluated on its upper triangle
+    pts = z[:16]
+    gram = inner_gram(scalar_points(pts)).entries
+    assert outcome(lambda: kernel_values(model, gram, tol)) == outcome(lambda: entry_loop(model, gram, tol))
+    c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    assert outcome(lambda: quadratic_form(model, pts, c, tol)) == outcome(lambda: quadratic_form_loop(model, pts, c, tol))
+
+
+@pytest.mark.parametrize("far", [30.0, 1e5, 1e200, math.inf, math.nan])
+def test_kernel_values_refuse_like_eval_kernel(far):
+    rng = np.random.default_rng(7)
+    for model in (grid_factorial_model(16), diagonal_factorial_model(), unit_weights(diagonal_factorial_model().spec, rho=1e300)):
+        args = np.concatenate([rng.random(150) + 0j, [far * 1j, far], rng.random(20) * far])
+        assert outcome(lambda: kernel_values(model, args, 1e-10)) == outcome(lambda: entry_loop(model, args, 1e-10))
+        pts = np.concatenate([rng.random(14) * 0.5, [far]])
+        c = np.ones(15)
+        with np.errstate(over="ignore", invalid="ignore"):  # z_r conj(z_s) overflows
+            form = outcome(lambda: quadratic_form(model, pts, c, 1e-10))
+        assert form == outcome(lambda: quadratic_form_loop(model, pts, c, 1e-10))
+
+
+def test_kernel_values_degenerate_inputs(monkeypatch):
+    monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
+    model = grid_factorial_model(4)
+    assert kernel_values(model, np.zeros((0, 3)), 1e-12).shape == (0, 3)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            kernel_values(model, [0.5], tol)
+    # an empty model, and one with an exponent past CPython's binary powering
+    assert kernel_values(CoefficientModel(ExponentSetSpec(), WeightRule({}, ())), [0.5, 2j], 1e-12).tolist() == [0j, 0j]
+    high = point_model({(101, 0): 1.0, (0, 0): 1.0})
+    args = np.array([0.9, 0.99j, -0.5])
+    assert outcome(lambda: kernel_values(high, args, 1e-12)) == outcome(lambda: entry_loop(high, args, 1e-12))
+
+
+# --- the certified bound against a 50-digit reference -------------------------
+
+def kernel_mpmath(model, a):
+    """f(a) in closed form at 50 digits: each family sums to
+    w a^k0 conj(a)^l0 exp(rho a^dk conj(a)^dl)."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(a.real, a.imag)
+        zc = mpmath.conj(z)
+        value = mpmath.fsum(w * z**p.k * zc**p.l for p, w in model.rule.point_weights.items())
+        for fam, fw in zip(model.spec.families, model.rule.family_weights):
+            step = fw.rho * z**fam.step.k * zc**fam.step.l
+            value += fw.w * z**fam.start.k * zc**fam.start.l * mpmath.exp(step)
+        return value
+
+
+def test_certified_bound_against_mpmath(monkeypatch):
+    monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
+    rng = np.random.default_rng(2026)
+    golden = model_from_json(json.loads((Path(__file__).parent / "golden" / "model_random.json").read_text(encoding="utf-8")))
+    models = [grid_factorial_model(16), diagonal_factorial_model(), golden]
+    models += [random_weights(rng, random_spec(rng, max_stride=1)) for _ in range(3)]
+    args = 3.0 * np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+    args = np.concatenate([args, [3.0, -3.0, 3j, 0.0]])
+    for model in models:
+        for tol in (1e-5, 1e-8):
+            values = kernel_values(model, args, tol)
+            for a, value in zip(args, values):
+                exact = kernel_mpmath(model, complex(a))
+                assert abs(mpmath.mpc(value.real, value.imag) - exact) <= tol, (model, a, tol)
 
 
 # randomized invariants are stated once, in hermpd.selftest.CHECKS
