@@ -5,11 +5,12 @@ and signal outcomes through exit codes: 0 success (criterion holds), 1 a
 selftest failure or an internal RuntimeError, 2 input refused, 3 criterion
 fails, 4 construction impossible because the criterion holds.  Exit 2 prints
 one line on stderr; its causes are a malformed or invalid input file, a
-non-finite number (NaN or infinity) in it, a value out of double-precision
-range (a kernel series or tail bound that overflows), a work budget (the
-criterion's residue cells, a witness's points, the exponent pairs up to
-the truncation) and an uncertifiable truncation.  Reports are deterministic
-for fixed inputs, seed, and version up to the elapsed_ms field.
+non-finite number (NaN or infinity) in it, a --tol that is not a positive
+finite number, a value out of double-precision range (a kernel series or
+tail bound that overflows), a work budget (the criterion's residue cells, a
+witness's points, the exponent pairs up to the truncation) and an
+uncertifiable truncation.  Reports are deterministic for fixed inputs,
+seed, and version up to the elapsed_ms field.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -36,6 +38,7 @@ from .schema import (
     model_from_json,
     origin_witness_to_json,
     points_from_json,
+    report_text,
     spec_from_json,
     witness_to_json,
 )
@@ -84,7 +87,7 @@ def _report(command: str, paths: list[str], flags: dict, started: float, payload
 
 
 def _emit(report: dict, out: str | None = None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = report_text(report)
     print(text)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -128,7 +131,7 @@ def cmd_counterexample(args) -> int:
         witness_obj = origin_witness_to_json(point, coeff)
         payload = {"witness": witness_obj, "max_residual": 0.0, "points": 1}
     if args.witness_out:
-        Path(args.witness_out).write_text(json.dumps(witness_obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        Path(args.witness_out).write_text(report_text(witness_obj) + "\n", encoding="utf-8")
     _emit(_report("counterexample", [args.spec], flags, started, payload), args.out)
     return EXIT_OK
 
@@ -266,6 +269,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 < getattr(args, "tol", 1.0) < math.inf:  # jset-check and selftest take no --tol
+            raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
         # overflow to inf or NaN is refused by the finiteness checks, so
         # numpy's floating-point warnings would only add stderr lines
         with np.errstate(all="ignore"):

@@ -12,13 +12,27 @@ Every complex number, read or written, is an [re, im] pair
 "re,im" cell per entry.  Numbers read as floats (coordinates, weights, rho)
 must be finite: NaN, infinities and values that overflow a double are
 refused, naming the field.
+
+Every report and witness file is written by ``report_text``, whose output
+is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)`` for every
+acyclic value json accepts, numpy floats and tuples included (NaN and the
+infinities as json spells them), and which raises TypeError where json
+does.  json's indented encoder is pure Python; ``report_text`` instead
+writes each rectangular nest of finite floats (a matrix of [re, im] pairs,
+a spectrum) as one indented skeleton filled with one ``%``.  The float
+texts are ``float.__repr__``, and from ``FLOAT_BLOCK_CUTOFF`` floats on
+each distinct magnitude is formatted once and "-" put before the negative
+ones (repr(-x) == "-" + repr(x) for finite x, -0.0 included), which halves
+the formatting of a Hermitian Gram matrix; below the cutoff np.unique's
+fixed cost outweighs that.  ``gram_to_csv`` takes its texts from the same
+helper.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -33,6 +47,107 @@ def complex_pairs(values) -> list:
     """Complex values as [re, im] float pairs, nested to the array's shape."""
     v = np.asarray(values, dtype=complex)
     return np.stack([v.real, v.imag], -1).tolist()
+
+
+# --- report text -----------------------------------------------------------------
+
+FLOAT_BLOCK_CUTOFF = 256
+_INDENT = "  "
+
+
+def report_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte."""
+    return _text(obj, 0)
+
+
+def _text(o, level: int) -> str:
+    # the type tests in json.encoder's order: bool before int, str first
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        block = _float_block(o, level)
+        if block is not None:
+            return block
+        items = [_text(v, level + 1) for v in o]
+        opener, closer = "[", "]"
+    elif isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [f"{_key(k)}: {_text(v, level + 1)}" for k, v in sorted(o.items())]
+        opener, closer = "{", "}"
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    inner = "\n" + _INDENT * (level + 1)
+    return opener + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closer
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return encode_basestring_ascii(k if isinstance(k, str) else _text(k, 0))
+
+
+def _float_block(o, level: int) -> Optional[str]:
+    """The text of a nonempty rectangular nest of lists and tuples whose
+    leaves are all finite floats, or None for any other value: the indented
+    skeleton is built once from the shape and filled with one %."""
+    shape = []
+    items = [o]
+    while True:
+        types = set(map(type, items))
+        if not types <= {list, tuple}:
+            break
+        lengths = set(map(len, items))
+        if len(lengths) != 1:  # ragged, or below an empty list
+            return None
+        shape.append(lengths.pop())
+        items = list(chain.from_iterable(items))
+    texts = _float_reprs(items) if types == {float} else None
+    if texts is None:
+        return None
+    skeleton = "%s"
+    for depth in reversed(range(len(shape))):
+        inner = "\n" + _INDENT * (level + depth + 1)
+        skeleton = "[" + inner + ("," + inner).join([skeleton] * shape[depth]) + "\n" + _INDENT * (level + depth) + "]"
+    return skeleton % tuple(texts)
+
+
+def _float_reprs(values: list) -> Optional[list]:
+    """``repr`` of each float in values, or None when one is NaN or infinite.
+    From FLOAT_BLOCK_CUTOFF values on, each distinct magnitude is formatted
+    once."""
+    if len(values) < FLOAT_BLOCK_CUTOFF:
+        return list(map(float.__repr__, values)) if all(map(math.isfinite, values)) else None
+    a = np.array(values, dtype=float)
+    if not np.isfinite(a).all():
+        return None
+    magnitudes, inverse = np.unique(np.abs(a), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, magnitudes.tolist())), dtype=object)[inverse]
+    negative = np.signbit(a)
+    texts[negative] = np.add("-", texts[negative])  # repr(-x) == "-" + repr(x) for finite x, -0.0 too
+    return texts.tolist()
 
 
 # --- guards ------------------------------------------------------------------
@@ -160,10 +275,12 @@ def gram_to_json(g: GramMatrix, spectrum: Optional[HermitianSpectrum] = None) ->
 
 
 def gram_to_csv(g: GramMatrix) -> str:
-    """Row-major CSV with quoted "re,im" cells."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows([f"{re!r},{im!r}" for re, im in row] for row in complex_pairs(g.entries))
-    return buf.getvalue()
+    """Row-major CSV with quoted "re,im" cells (``repr`` of each part),
+    CRLF line ends."""
+    n, m = g.entries.shape
+    flat = np.stack([g.entries.real, g.entries.imag], -1).ravel().tolist()
+    texts = _float_reprs(flat) or list(map(float.__repr__, flat))
+    return ((",".join(['"%s,%s"'] * m) + "\r\n") * n) % tuple(texts)
 
 
 # --- annihilating configurations -------------------------------------------------

@@ -90,6 +90,24 @@ def test_counterexample_writes_witness(workdir, capsys):
     assert len(witness["points"]) == 2 == len(witness["coeffs"])
 
 
+def test_out_files_hold_the_written_bytes(workdir, capsys):
+    tmp, write = workdir
+    model = write("model.json", model_to_json(grid_factorial_model(16)))
+    rng = np.random.default_rng(4)
+    points = write("points.json", points_to_json(scalar_points(rng.uniform(-0.8, 0.8, 12) + 1j * rng.uniform(-0.8, 0.8, 12))))
+    out = tmp / "report.json"
+    assert main(["gram", model, points, "--out", str(out)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    # a p = 211 witness: 422 points, over the float block cutoff
+    spec = write("p211.json", spec_to_json(ExponentSetSpec(points=[(0, 0), (3, 1)], families=[ExponentFamily((0, 0), (211, 0))])))
+    wpath = tmp / "witness.json"
+    code, report, _ = run(capsys, "counterexample", spec, "--witness-out", str(wpath))
+    assert code == 0 and report["witness"]["p"] == 211
+    expected = json.dumps(report["witness"], indent=2, sort_keys=True) + "\n"
+    assert wpath.read_bytes() == expected.encode("utf-8")
+
+
 def test_counterexample_even_difference(workdir, capsys):
     tmp, write = workdir
     even = write("even.json", spec_to_json(even_difference_spec()))

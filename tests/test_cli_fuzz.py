@@ -1,13 +1,14 @@
 """Hypothesis fuzz of the gram and oracle commands over small model and
-point files with extreme magnitudes: every run must exit 0, or 2 with one
-line on stderr, print no traceback, report no NaN or infinity and finish
-within a time bound.  Output
-is captured at the file-descriptor level, so messages that LAPACK writes
-past Python count too."""
+point files with extreme magnitudes, and over --tol and --truncation values
+(NaN, infinities, zero, negatives, huge): every run must exit 0, or 2 with
+one line on stderr, print no traceback, report no NaN or infinity and finish
+within a time bound.  Output is captured at the file-descriptor level, so
+messages that LAPACK writes past Python count too."""
 
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -22,6 +23,10 @@ EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e-30, 0.5, -1.0, 3.0, 30.0, 1e30, -1e15
 coordinate = st.one_of(st.sampled_from(EXTREMES), st.floats(-1e300, 1e300, allow_nan=False))
 weight = st.one_of(st.sampled_from([1e-300, 1e-30, 0.5, 1.0, 1e30, 1e300]), st.floats(1e-300, 1e300))
 exponent_pair = st.tuples(st.integers(0, 4), st.integers(0, 4))
+tolerance = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-8, 0.5, 1e300]), st.floats()
+)
+truncation = st.one_of(st.sampled_from([-1, 0, 1, 24, 170, 10**9]), st.integers(-(10**12), 10**12))
 family = st.fixed_dictionaries(
     {"start": exponent_pair, "step": exponent_pair.filter(lambda step: step != (0, 0))}
 )
@@ -52,9 +57,20 @@ def reject(constant: str):
     raise AssertionError(f"report holds {constant}")
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["gram", "oracle"]), model=models(), points=point_sets())
-def test_cli_json_fuzz(command, model, points, capfd):
+@st.composite
+def flags(draw, command):
+    out = []
+    if draw(st.booleans()):
+        out.append(f"--tol={draw(tolerance)!r}")  # with "=", argparse reads "-inf" as a value
+    if command == "oracle" and draw(st.booleans()):
+        out.append(f"--truncation={draw(truncation)}")
+    return out
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["gram", "oracle"]), model=models(), points=point_sets(), data=st.data())
+def test_cli_json_fuzz(command, model, points, data, capfd):
+    extra = data.draw(flags(command))
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, obj in (("model", model), ("points", points)):
@@ -64,9 +80,11 @@ def test_cli_json_fuzz(command, model, points, capfd):
         capfd.readouterr()
         with deadline(5.0), warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would add stderr lines
-            code = main([command, *paths])
+            code = main([command, *paths, *extra])
     out, err = capfd.readouterr()
     assert "Traceback" not in err
+    if any(flag.startswith("--tol=") and not 0 < float(flag[6:]) < math.inf for flag in extra):
+        assert code == 2 and err.startswith("error: --tol must be a positive finite number"), (code, err)
     if code == 0:
         assert err == "" and json.loads(out, parse_constant=reject)["command"] == command
     else:

@@ -179,3 +179,20 @@ def test_witness_form_rounding_decided(cli):
     assert code == 0 and err == "" and elapsed < 1.0
     assert json.loads(out)["strict"] is False
 
+
+TOL_INPUTS = {
+    "counterexample": ["spec_diagonal.json"],
+    "gram": ["model_grid16.json", "points_n8_m1.json"],
+    "oracle": ["model_grid16.json", "points_annulus4.json"],
+    "split": ["points_n5_m2.json"],
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3"])
+@pytest.mark.parametrize("command", sorted(TOL_INPUTS))
+def test_invalid_tol_is_refused(cli, command, tol):
+    # --tol nan answered with exit 0: "indefinite" next to a positive least
+    # eigenvalue from gram, "strict": false for the oracle_strict set
+    inputs = [json.loads((GOLDEN / name).read_text(encoding="utf-8")) for name in TOL_INPUTS[command]]
+    result = cli(command, *inputs, flags=[f"--tol={tol}"])
+    assert_refused(*result, f"--tol must be a positive finite number, got {float(tol)!r}")

@@ -2,7 +2,9 @@
 stdout (minus the elapsed_ms line), stderr, exit code and written files
 byte for byte.  The gram and oracle cases are too small to reach the array
 evaluator at the default crossover, so they run a second time with
-kernel.ARRAY_CROSSOVER at 1."""
+kernel.ARRAY_CROSSOVER at 1.  The cases whose reports hold float lists run
+with schema.FLOAT_BLOCK_CUTOFF at 1 and at 2**62, so that every float block
+is written once with and once without formatting each magnitude once."""
 
 from __future__ import annotations
 
@@ -13,11 +15,13 @@ from pathlib import Path
 import pytest
 
 import hermpd.kernel
+import hermpd.schema
 from hermpd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [line.split() for line in (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines() if line.strip()]
 KERNEL_CASES = [c for c in CASES if c[2] in ("gram", "oracle")]
+FLOAT_CASES = [c for c in CASES if c[2] in ("counterexample", "gram", "oracle", "split")]
 
 
 def expected(name: str) -> str:
@@ -37,6 +41,13 @@ def test_golden_report(name, code, argv, tmp_path, monkeypatch, capsys):
 @params(KERNEL_CASES)
 def test_golden_report_array_path(name, code, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
+    check_report(name, code, argv, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2**62], ids=["cutoff1", "cutoff_huge"])
+@params(FLOAT_CASES)
+def test_golden_report_float_cutoff(name, code, argv, cutoff, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hermpd.schema, "FLOAT_BLOCK_CUTOFF", cutoff)
     check_report(name, code, argv, tmp_path, monkeypatch, capsys)
 
 

@@ -1,15 +1,24 @@
-"""The file formats: the [re, im] codec and the report objects built on it."""
+"""The file formats: the [re, im] codec, the report objects built on it and
+the report writer."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
+import math
+import struct
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hermpd.schema
 from hermpd.kernel import GramMatrix
 from hermpd.linalg import hermitian_eigen
-from hermpd.schema import complex_pairs, gram_to_csv, gram_to_json
+from hermpd.schema import complex_pairs, gram_to_csv, gram_to_json, report_text
 
 
 def test_complex_pairs_matches_per_element_encoding():
@@ -47,3 +56,82 @@ def test_gram_report_fields_come_from_the_spectrum():
     assert full["entries"] == [[[2.0, 0.0], [0.0, 1.0]], [[-0.0, -1.0], [2.0, 0.0]]]
     assert gram_to_csv(g) == '"2.0,0.0","0.0,1.0"\r\n"-0.0,-1.0","2.0,0.0"\r\n'
 
+
+def test_gram_csv_on_both_sides_of_the_cutoff(monkeypatch):
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    entries = z @ z.conj().T
+    entries[0, 1] = complex(-0.0, 0.0)
+    entries[2, 3] = complex(5e-324, -1e300)
+    buf = io.StringIO()  # the csv module's writer, which gram_to_csv replaced
+    csv.writer(buf).writerows([f"{re!r},{im!r}" for re, im in row] for row in complex_pairs(entries))
+    expected = buf.getvalue()
+    for cutoff in (1, 10**9):
+        monkeypatch.setattr(hermpd.schema, "FLOAT_BLOCK_CUTOFF", cutoff)
+        assert gram_to_csv(GramMatrix(entries)) == expected
+
+
+
+# every bit pattern: NaNs with either sign and any payload, infinities,
+# subnormals and -0.0
+any_float = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308]
+
+
+@st.composite
+def float_blocks(draw):
+    """Rectangular nests of lists and tuples of floats with 1 to 900 leaves,
+    so on both sides of FLOAT_BLOCK_CUTOFF, drawn from a few magnitudes with
+    random signs (as in a Hermitian matrix), sometimes with a special value
+    or a short last row."""
+    shape = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3).filter(lambda s: math.prod(s) <= 900))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(draw(st.lists(any_float, min_size=1, max_size=40)) + [draw(st.floats(-1e3, 1e3))])
+    values = rng.choice(pool, math.prod(shape)) * rng.choice([-1.0, 1.0], math.prod(shape))
+    if draw(st.booleans()):
+        values[rng.integers(values.size)] = draw(st.sampled_from(SPECIAL))
+    block = values.reshape(shape).tolist()
+    if len(shape) > 1 and draw(st.booleans()):
+        block[-1] = block[-1][:-1]  # ragged, or an empty last row
+    tuples = draw(st.sampled_from(["none", "outer", "rows"]))
+    if tuples == "outer" or (tuples == "rows" and len(shape) == 1):
+        block = tuple(block)
+    elif tuples == "rows":
+        block = [tuple(row) for row in block]
+    return block
+
+
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    any_float,
+    st.sampled_from(SPECIAL),
+    any_float.map(np.float64),  # strictness_oracle returns numpy floats
+    st.text(alphabet=st.sampled_from('a"\\/\b\n\x00\x1f\x7f\u00e9\u2028\U0001f600 '), max_size=6),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    st.one_of(leaves, float_blocks()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(-5, 5), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_report_text_matches_json_dumps(obj):
+    assert report_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_report_text_refuses_what_json_refuses():
+    for obj in ([np.int64(1)], {"a": np.bool_(True)}, {(1, 2): 0.5}, {1: 0, "a": 1}, [1j]):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            report_text(obj)
