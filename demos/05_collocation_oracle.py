@@ -48,7 +48,7 @@ print("grid model : strict =", result.strict, " rank =", result.collocation_rank
 
 diag = diagonal_factorial_model()
 equal_mod = np.exp(1j * np.array([0.4, 1.3, 2.9]))  # shared modulus
-result = strictness_oracle(diag, equal_mod, truncation=20, tol=1e-8)
+result = strictness_oracle(diag, equal_mod, truncation=24, tol=1e-8)
 print("diag model : strict =", result.strict, " rank =", result.collocation_rank,
       " witness form =", f"{result.witness_form:.2e}")
 print()

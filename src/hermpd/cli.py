@@ -8,14 +8,16 @@ one line on stderr; its causes are a malformed or invalid input file, a
 non-finite number (NaN or infinity) in it, a --tol that is not a positive
 finite number, a value out of double-precision range (a kernel series or
 tail bound that overflows), a work budget (the criterion's residue cells, a
-witness's points, the exponent pairs up to the truncation) and an
-uncertifiable truncation.  Reports are deterministic for fixed inputs,
-seed, and version up to the elapsed_ms field.
+witness's points, the exponent pairs up to the truncation), an
+uncertifiable truncation and a command line that does not parse (--help
+and --version exit 0).  Reports are deterministic for fixed inputs, seed,
+and version up to the elapsed_ms field.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -222,8 +224,16 @@ def _add_common(parser: argparse.ArgumentParser, tol: bool = True, truncation: b
     parser.add_argument("--out", help="also write the report JSON to this path")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Refuses a command line with InputError, so that main returns exit 2
+    with one stderr line; subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hermpd", description=__doc__)
+    parser = _ArgumentParser(prog="hermpd", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,10 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call rather than at import;
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if not 0 < getattr(args, "tol", 1.0) < math.inf:  # jset-check and selftest take no --tol
             raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
         # overflow to inf or NaN is refused by the finiteness checks, so

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 COVERAGE_CELL_BUDGET = 1 << 24
 """Work one criterion call may do, in residue cells marked or scanned; trial
@@ -249,18 +250,27 @@ def residue_coverage(profile: DifferenceProfile, p: int) -> set[int]:
 def residue_coverage_bruteforce(profile: DifferenceProfile, p: int, reps: int = 10) -> set[int]:
     """Independent enumeration oracle for residue_coverage.
 
-    Walks the first reps*p distinct values of each progression and marks a
-    residue covered once a single progression (the proof of infinitude) hits
-    it at least twice.  Isolated values are excluded by construction.
+    Enumerates the first reps*p values offset + s*d (s = 0 .. reps*p - 1) of
+    each progression, counts how often each residue mod p is hit, and marks
+    a residue covered once a single progression (the proof of infinitude)
+    hits it at least twice.  Isolated values are excluded by construction.
+    No gcd or coset enters, so the oracle stays independent of the
+    criterion.
+
+    The residues are (offset mod p + s * (d mod p)) mod p, with offset and d
+    reduced as Python ints first, so offsets of any size and negative strides
+    enter numpy as residues below p and every int64 product s * (d mod p) is
+    below reps * p**2; a p for which that bound would overflow is refused.
     """
     if p < 1:
         raise ValueError(f"modulus must be positive, got {p}")
+    if reps * p * p >= 1 << 63:
+        raise ValueError(f"reps * p^2 = {reps * p * p} overflows int64 products")
+    steps = np.arange(reps * p, dtype=np.int64)
     covered: set[int] = set()
     for offset, d in profile.progressions:
-        hits: Counter[int] = Counter()
-        for s in range(reps * p):
-            hits[(offset + s * d) % p] += 1
-        covered.update(q for q, c in hits.items() if c >= 2)
+        hits = np.bincount((offset % p + steps * (d % p)) % p, minlength=p)
+        covered.update(np.flatnonzero(hits >= 2).tolist())
     return covered
 
 

@@ -501,9 +501,16 @@ class GramMatrix:
 
 
 def inner_gram(pts: ComplexPointSet) -> GramMatrix:
-    """Standard inner products <z^r, z^s> = sum_j z^r_j conj(z^s_j)."""
+    """Standard inner products <z^r, z^s> = sum_j z^r_j conj(z^s_j), exactly
+    Hermitian: the upper triangle of the product is mirrored, because the
+    product's rounding can differ between (r, s) and (s, r), and the diagonal
+    is made real."""
     p = pts.points
-    return GramMatrix(p @ p.conj().T)
+    g = p @ p.conj().T
+    lower = np.tril_indices(len(g), -1)
+    g[lower] = g.T[lower].conj()
+    g.imag[np.diag_indices(len(g))] = 0.0
+    return GramMatrix(g)
 
 
 def kernel_gram(model: CoefficientModel, g: GramMatrix, tol: float) -> GramMatrix:

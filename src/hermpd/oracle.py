@@ -101,8 +101,11 @@ def strictness_oracle(
     Strict iff the collocation matrix has full row rank.  A strict verdict is
     only certified when the weight mass beyond the truncation (at the points'
     max modulus) stays below tol; otherwise TruncationGuardError is raised.
-    A non-strict verdict returns a unit annihilating vector, validated
-    against the full kernel quadratic form.
+    A non-strict verdict is only certified when the witness form's upper
+    bound, its truncated part plus |c|_1^2 times the tail mass at radius^2,
+    is at most n^2 tol; otherwise TruncationGuardError is raised too.  It
+    returns a unit annihilating vector, validated against the full kernel
+    quadratic form.
     """
     pts = _check_points(points)
     n = pts.size
@@ -118,7 +121,6 @@ def strictness_oracle(
         return StrictnessResult(True, None, coll.rank, tail)
     witness = nullspace_vector(coll.entries.T, tol)
     assert witness is not None, "rank < n guarantees an annihilating vector"
-    form = quadratic_form(model, pts, witness, tol)
     # measured truncated part + tail bound at the kernel argument radius
     residuals = coll.entries.T @ witness
     below = sum(
@@ -126,7 +128,17 @@ def strictness_oracle(
     )
     norm1 = float(np.abs(witness).sum())
     tail2 = truncation_tail_mass(model, truncation, radius * radius)
-    budget = below + norm1**2 * (tail2 + tol)
+    # a rank deficit only shows that the truncated columns are dependent; the
+    # form is certified degenerate when its upper bound is within n^2 tol
+    tail_part = norm1**2 * tail2
+    certified = below + tail_part
+    if not certified <= n * n * tol:
+        raise TruncationGuardError(
+            f"cannot certify non-strictness: witness form bound {certified:.3e} (truncated part {below:.3e}, "
+            f"tail {tail_part:.3e} at radius {radius:.3g}) exceeds n^2 tol {n * n * tol:.1e}"
+        )
+    form = quadratic_form(model, pts, witness, tol)
+    budget = certified + norm1**2 * tol
     if form > 10 * budget + n * n * tol:
         # the form is measured to 4 n eps |c|^T |K| |c|, and every kernel value
         # is at most the whole weight mass at radius^2 (the tail past degree -1)

@@ -345,13 +345,23 @@ def check_counterexample(rng, level):
     return cases, failures
 
 
+def _character_totals(p: int) -> list[np.ndarray]:
+    """totals[q][s] = sum_t d_t exp(2 pi i t s / p) for d = character_coefficients(p, q).
+
+    Row s of the phase table is elementwise the expression a per-s
+    np.exp(2j * np.pi * np.arange(p) * s / p) computes, and each row is
+    summed on its own as np.sum sums a vector, so the totals carry its bits.
+    """
+    t = np.arange(p)
+    phases = np.exp(2j * np.pi * t * t[:, None] / p)
+    return [(character_coefficients(p, q) * phases).sum(axis=1) for q in range(p)]
+
+
 def check_characters(rng, level):
     cases, failures = 0, []
     for p in range(1, 33):
-        for q in range(p):
-            d = character_coefficients(p, q)
-            for s in range(p):
-                total = np.sum(d * np.exp(2j * np.pi * np.arange(p) * s / p))
+        for q, totals in enumerate(_character_totals(p)):
+            for s, total in enumerate(totals):
                 cases += 1
                 if s == q:
                     if abs(total - p) > 1e-12 * p:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hermpd.cli import main
+import hermpd.cli
+from hermpd.cli import build_parser, main
 from hermpd.exponents import (
     ExponentFamily,
     ExponentSetSpec,
@@ -17,6 +21,8 @@ from hermpd.exponents import (
 )
 from hermpd.kernel import diagonal_factorial_model, grid_factorial_model, scalar_points, unit_weights
 from hermpd.schema import model_to_json, points_to_json, spec_to_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -218,9 +224,35 @@ def test_removed_tol_flag_is_refused(workdir, capsys):
     tmp, write = workdir
     diag = write("diag.json", spec_to_json(diagonal_spec()))
     for argv in (["jset-check", diag, "--tol", "1e-3"], ["selftest", "--tol", "1e-3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2 and "unrecognized arguments: --tol" in capsys.readouterr().err
+        code, report, err = run(capsys, *argv)
+        assert code == 2 and report is None
+        assert err.count("\n") == 1 and "unrecognized arguments: --tol" in err
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # the first golden case of every command, a refused command line, then the first case again
+    firsts = {}
+    for line in (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines():
+        argv = line.split()[2:]
+        firsts.setdefault(argv[0], argv)
+    assert len(firsts) == 6
+    argvs = [*firsts.values(), ["gram", "--bogus"], next(iter(firsts.values()))]
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    monkeypatch.chdir(tmp_path / "golden")
+
+    def run_all():
+        results = []
+        for argv in argvs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            results.append((code, re.sub(r'(?m)^  "elapsed_ms": \d+,\n', "", out), err))
+        return results
+
+    assert hermpd.cli._parser() is hermpd.cli._parser()
+    cached = run_all()
+    monkeypatch.setattr(hermpd.cli, "_parser", build_parser)
+    assert cached == run_all()
+    assert cached[-1] == cached[0] and cached[-2][0] == 2
 
 
 def test_report_determinism(workdir, capsys):

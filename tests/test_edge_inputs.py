@@ -15,13 +15,16 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import hermpd.exponents
 from hermpd.cli import main
 from hermpd.exponents import ExponentFamily, ExponentSetSpec, even_difference_spec
 from hermpd.kernel import diagonal_factorial_model, unit_weights
-from hermpd.schema import model_to_json, spec_to_json
+from hermpd.schema import model_to_json, points_to_json, spec_to_json
 from test_exponents import erdos_covering_spec
+from test_kernel import steep_stride4_case
 
 COPRIME = ExponentSetSpec(
     points=[(0, 0)], families=[ExponentFamily((0, 0), (999983, 0)), ExponentFamily((0, 0), (0, 1000003))]
@@ -172,12 +175,12 @@ def test_coefficient_past_double_range_decided(cli):
 
 def test_witness_form_rounding_decided(cli):
     # f(z) = conj(z) is rank one; at |z| ~ 7e16 the form's rounding was taken for an
-    # imaginary defect (exit 1)
+    # imaginary defect (exit 1), and then the witness, whose form measures ~2e16,
+    # was reported as degenerate: its rounding cannot be certified below n^2 tol
     points = scalar_points(0.5 + 7.2e16j, 5.8e16 + 0.5j, 7.2e16 + 0.5j)
     model = model_to_json(unit_weights(ExponentSetSpec(points=[(0, 1)])))
     code, out, err, elapsed = cli("oracle", model, points)
-    assert code == 0 and err == "" and elapsed < 1.0
-    assert json.loads(out)["strict"] is False
+    assert_refused(code, out, err, elapsed, "cannot certify non-strictness")
 
 
 TOL_INPUTS = {
@@ -196,3 +199,60 @@ def test_invalid_tol_is_refused(cli, command, tol):
     inputs = [json.loads((GOLDEN / name).read_text(encoding="utf-8")) for name in TOL_INPUTS[command]]
     result = cli(command, *inputs, flags=[f"--tol={tol}"])
     assert_refused(*result, f"--tol must be a positive finite number, got {float(tol)!r}")
+
+
+def golden(*names: str) -> list:
+    return [json.loads((GOLDEN / name).read_text(encoding="utf-8")) for name in names]
+
+
+def test_oracle_low_truncation_is_not_called_non_strict(cli):
+    # at truncation 0 the first collocation column is dependent, and the set
+    # (strict at truncation 16, golden oracle_strict) was reported non-strict
+    result = cli("oracle", *golden("model_grid16.json", "points_annulus4.json"), flags=["--tol", "1e-8", "--truncation", "0"])
+    assert_refused(*result, "cannot certify non-strictness: witness form bound 5.089e+00")
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(truncation=st.integers(0, 24))
+@example(truncation=0)
+@example(truncation=24)
+@pytest.mark.parametrize(
+    "inputs, verdict",
+    [(("model_grid16.json", "points_annulus4.json"), True), (("model_even.json", "points_pm_pair.json"), False)],
+    ids=["oracle_strict", "oracle_degenerate"],
+)
+def test_oracle_verdict_does_not_depend_on_truncation(cli, inputs, verdict, truncation):
+    # the verdicts are those of the two oracle goldens, at truncation 16 and 12
+    code, out, err, elapsed = cli("oracle", *golden(*inputs), flags=["--tol", "1e-8", "--truncation", str(truncation)])
+    if code == 2 and truncation < 24:  # both sets are certified at 24
+        assert_refused(code, out, err, elapsed, "certify")
+        return
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["strict"] is verdict
+    if report["eigen_crosscheck"] is not None:
+        assert report["eigen_crosscheck"]["eigen_strict"] is verdict
+
+
+def test_steep_stride4_gram_is_answered(cli):
+    # refused with "kernel Gram defect 4.746e+123 exceeds 2.119e+123" while
+    # the inner Gram was not exactly Hermitian
+    model, pts = steep_stride4_case(157)
+    code, out, err, elapsed = cli("gram", model_to_json(model), points_to_json(pts))
+    assert code == 0 and err == "" and elapsed < 1.0
+    assert json.loads(out)["kernel_gram"]["hermitian_defect"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags, phrase",
+    [
+        (["--tol", "-inf"], "hermpd gram: argument --tol: expected one argument"),
+        (["--tol", "x"], "hermpd gram: argument --tol: invalid float value: 'x'"),
+        (["--bogus"], "hermpd: unrecognized arguments: --bogus"),
+    ],
+    ids=["tol_minus_inf", "tol_not_a_number", "unknown_flag"],
+)
+def test_argparse_refusal_is_one_line(cli, flags, phrase):
+    # argparse printed a usage block and raised SystemExit(2) out of main
+    result = cli("gram", *golden("model_grid16.json", "points_n8_m1.json"), flags=flags)
+    assert_refused(*result, phrase)

@@ -77,7 +77,10 @@ def test_collocation_rank_rotation_invariant():
 def test_strictness_diagonal_witness():
     model = diagonal_factorial_model()
     pts = np.exp(1j * np.array([0.4, 2.0]))
-    result = strictness_oracle(model, pts, truncation=20, tol=1e-8)
+    # the form vanishes, but with the tail past degree 20 its bound is 1.4e-7 > n^2 tol = 4e-8
+    with pytest.raises(TruncationGuardError, match="cannot certify non-strictness"):
+        strictness_oracle(model, pts, truncation=20, tol=1e-8)
+    result = strictness_oracle(model, pts, truncation=24, tol=1e-8)
     assert not result.strict
     assert result.collocation_rank == 1
     np.testing.assert_allclose(np.abs(result.witness), np.ones(2) / np.sqrt(2), atol=1e-10)
