@@ -56,31 +56,33 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse):
+    """parse() of the file's JSON, and the bytes that JSON was read from."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        obj = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno} (char {exc.pos}): {exc.msg}") from exc
+    return parse(obj), data
 
 
-def _digest(paths: list[str], flags: dict) -> str:
+def _digest(inputs: list[bytes], flags: dict) -> str:
     h = hashlib.sha256()
-    for path in paths:
-        h.update(Path(path).read_bytes())
+    for data in inputs:
+        h.update(data)
         h.update(b"\x00")
     h.update(json.dumps(flags, sort_keys=True).encode("utf-8"))
     return h.hexdigest()
 
 
-def _report(command: str, paths: list[str], flags: dict, started: float, payload: dict) -> dict:
+def _report(command: str, inputs: list[bytes], flags: dict, started: float, payload: dict) -> dict:
     report = {
         "command": command,
         "tool_version": __version__,
-        "inputs_digest": _digest(paths, flags),
+        "inputs_digest": _digest(inputs, flags),
         "elapsed_ms": int((time.perf_counter() - started) * 1000),
     }
     report.update(flags)
@@ -97,7 +99,7 @@ def _emit(report: dict, out: str | None = None) -> None:
 
 def cmd_jset_check(args) -> int:
     started = time.perf_counter()
-    spec = spec_from_json(_load_json(args.spec))
+    spec, data = _load_json(args.spec, spec_from_json)
     if args.sphere:
         spec = type(spec)(spec.points, spec.families, require_origin=False)
     verdict = check_strict_criterion(spec)
@@ -108,13 +110,13 @@ def cmd_jset_check(args) -> int:
         "failing_class": list(verdict.failing_class) if verdict.failing_class else None,
         "origin_missing": verdict.origin_missing,
     }
-    _emit(_report("jset-check", [args.spec], flags, started, payload), args.out)
+    _emit(_report("jset-check", [data], flags, started, payload), args.out)
     return EXIT_OK if verdict.holds else EXIT_CRITERION_FAILS
 
 
 def cmd_counterexample(args) -> int:
     started = time.perf_counter()
-    spec = spec_from_json(_load_json(args.spec))
+    spec, data = _load_json(args.spec, spec_from_json)
     verdict = check_strict_criterion(spec)
     if verdict.holds:
         print("criterion holds; no counterexample exists", file=sys.stderr)
@@ -134,14 +136,14 @@ def cmd_counterexample(args) -> int:
         payload = {"witness": witness_obj, "max_residual": 0.0, "points": 1}
     if args.witness_out:
         Path(args.witness_out).write_text(report_text(witness_obj) + "\n", encoding="utf-8")
-    _emit(_report("counterexample", [args.spec], flags, started, payload), args.out)
+    _emit(_report("counterexample", [data], flags, started, payload), args.out)
     return EXIT_OK
 
 
 def cmd_gram(args) -> int:
     started = time.perf_counter()
-    model = model_from_json(_load_json(args.model))
-    pts = points_from_json(_load_json(args.points))
+    model, model_data = _load_json(args.model, model_from_json)
+    pts, points_data = _load_json(args.points, points_from_json)
     inner = inner_gram(pts)
     kg = kernel_gram(model, inner, args.tol)
     spectrum = hermitian_eigen(kg.entries, max(args.tol, 1e-12))
@@ -149,20 +151,20 @@ def cmd_gram(args) -> int:
     payload = {
         "inner_gram": gram_to_json(inner),
         "kernel_gram": gram_to_json(kg, spectrum),
-        "spectrum": [float(v) for v in spectrum.eigenvalues],
+        "spectrum": spectrum.eigenvalues,
         "psd_verdict": spectrum.verdict,
         "min_eigenvalue": spectrum.min,
     }
     if args.csv:
         Path(args.csv).write_text(gram_to_csv(kg), encoding="utf-8")
-    _emit(_report("gram", [args.model, args.points], flags, started, payload), args.out)
+    _emit(_report("gram", [model_data, points_data], flags, started, payload), args.out)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
-    model = model_from_json(_load_json(args.model))
-    pts = points_from_json(_load_json(args.points))
+    model, model_data = _load_json(args.model, model_from_json)
+    pts, points_data = _load_json(args.points, points_from_json)
     if pts.dimension != 1:
         raise InputError(f"oracle needs scalar points (dimension 1), got dimension {pts.dimension}")
     scalars = pts.points.ravel()
@@ -185,13 +187,13 @@ def cmd_oracle(args) -> int:
         "witness_form": result.witness_form,
         "eigen_crosscheck": cross,
     }
-    _emit(_report("oracle", [args.model, args.points], flags, started, payload), args.out)
+    _emit(_report("oracle", [model_data, points_data], flags, started, payload), args.out)
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
     started = time.perf_counter()
-    pts = points_from_json(_load_json(args.points))
+    pts, data = _load_json(args.points, points_from_json)
     result = split_gram(pts, seed=args.seed, tol=args.tol)
     flags = {"seed": args.seed, "tol": args.tol}
     payload = {
@@ -201,7 +203,7 @@ def cmd_split(args) -> int:
         "reconstruction_error": result.reconstruction_error,
         "remainder_min_eigenvalue": result.remainder_min_eigenvalue,
     }
-    _emit(_report("split", [args.points], flags, started, payload), args.out)
+    _emit(_report("split", [data], flags, started, payload), args.out)
     return EXIT_OK
 
 

@@ -137,17 +137,48 @@ def closest_pair(rows) -> tuple[float, int, int]:
     skipped.  Without a comparable pair the result is (inf, 0, 0).
     """
     rows = np.asarray(rows, dtype=complex)
-    n = rows.shape[0]
+    n, m = rows.shape
     if n < 2:
         return math.inf, 0, 0
     dist = np.zeros((n, n))
-    for col in rows.T:  # one coordinate at a time keeps memory at O(n^2)
-        diff = col[:, None] - col[None, :]
-        np.maximum(dist, np.hypot(diff.real, diff.imag), out=dist)
+    if m:
+        diff = rows[:, :1] - rows[:, 0]
+        dist = np.hypot(diff.real, diff.imag)
     dist[np.isnan(dist)] = math.inf
     np.fill_diagonal(dist, math.inf)
-    i, j = divmod(int(dist.argmin()), n)
-    return float(dist[i, j]), i, j
+    if m < 2:
+        i, j = divmod(int(dist.argmin()), n)
+        return float(dist[i, j]), i, j
+    # A pair's gap is at least its gap on the first coordinate, so the full
+    # gap of each row and its nearest row on the first coordinate bounds the
+    # winner, and only the pairs still within that bound are finished.
+    order = np.arange(n)
+    near = dist.argmin(axis=1)
+    _, _, full = _finish_gaps(rows, order, near, dist[order, near], math.inf)
+    bound = full.min() if full.size else math.inf
+    i, j = np.nonzero((dist <= bound) & (order[:, None] < order))  # in lexicographic order
+    i, j, dist = _finish_gaps(rows, i, j, dist[i, j], bound)
+    if not dist.size or dist.min() == math.inf:
+        return math.inf, 0, 0
+    k = int(dist.argmin())
+    return float(dist[k]), int(i[k]), int(j[k])
+
+
+def _finish_gaps(rows, i, j, dist, bound: float):
+    """The pairs (i, j) with their gaps, given their gaps dist on the first
+    coordinate, dropping each pair as soon as its gap exceeds bound or is
+    NaN.  The coordinates go in blocks of at most n^2 entries, which keeps
+    memory at O(n^2)."""
+    n, m = rows.shape
+    start = 1
+    while start < m and len(i):
+        width = max(1, n * n // len(i))
+        diff = rows[i, start : start + width] - rows[j, start : start + width]
+        dist = np.maximum(dist, np.hypot(diff.real, diff.imag).max(axis=1))
+        keep = dist <= bound
+        i, j, dist = i[keep], j[keep], dist[keep]
+        start += width
+    return i, j, dist
 
 
 def nullspace_vector(m, tol: float) -> Optional[np.ndarray]:

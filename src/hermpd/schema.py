@@ -8,24 +8,26 @@ a coefficient model adds ``point_weights`` ([k, l, w]) and
 point set has ``dimension`` m and ``points``, each a list of m coordinates.
 
 Every complex number, read or written, is an [re, im] pair
-(``complex_pairs``), nested row-major for matrices; the Gram CSV quotes one
-"re,im" cell per entry.  Numbers read as floats (coordinates, weights, rho)
-must be finite: NaN, infinities and values that overflow a double are
-refused, naming the field.
+(``complex_pairs``, a float64 array with a last axis of 2), nested
+row-major for matrices; the Gram CSV quotes one "re,im" cell per entry.
+Numbers read as floats (coordinates, weights, rho) must be JSON numbers,
+not strings or booleans, and finite: NaN, infinities and values that
+overflow a double are refused, naming the field.
 
-Every report and witness file is written by ``report_text``, whose output
-is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)`` for every
-acyclic value json accepts, numpy floats and tuples included (NaN and the
-infinities as json spells them), and which raises TypeError where json
-does.  json's indented encoder is pure Python; ``report_text`` instead
-writes each rectangular nest of finite floats (a matrix of [re, im] pairs,
-a spectrum) as one indented skeleton filled with one ``%``.  The float
-texts are ``float.__repr__``, and from ``FLOAT_BLOCK_CUTOFF`` floats on
-each distinct magnitude is formatted once and "-" put before the negative
-ones (repr(-x) == "-" + repr(x) for finite x, -0.0 included), which halves
-the formatting of a Hermitian Gram matrix; below the cutoff np.unique's
-fixed cost outweighs that.  ``gram_to_csv`` takes its texts from the same
-helper.
+Every report and witness file is written by ``report_text``.  Report
+objects may hold float64 numpy arrays wherever a JSON value may appear;
+``report_text`` writes each as json writes its ``tolist()``, and its output
+is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)`` of the
+object with its arrays so replaced, for every acyclic value json accepts,
+numpy floats and tuples included (NaN and the infinities as json spells
+them).  It raises TypeError where json does, and for arrays of any other
+dtype.  json's indented encoder is pure Python; ``report_text`` instead
+writes each nonempty finite array, and each rectangular nest of lists of
+finite floats, in one join of float texts and separators, where a negative
+leaf's "-" ends its separator.  The float texts are ``float.__repr__`` of
+the magnitudes, each distinct one formatted once from
+``FLOAT_BLOCK_CUTOFF`` leaves on.  ``gram_to_csv`` writes its cells with
+the same join.
 """
 
 from __future__ import annotations
@@ -43,20 +45,22 @@ from .kernel import CoefficientModel, ComplexPointSet, FamilyWeight, GramMatrix,
 from .linalg import HermitianSpectrum
 
 
-def complex_pairs(values) -> list:
-    """Complex values as [re, im] float pairs, nested to the array's shape."""
+def complex_pairs(values) -> np.ndarray:
+    """Complex values as [re, im] float pairs: a float64 array of the
+    values' shape with a last axis of 2."""
     v = np.asarray(values, dtype=complex)
-    return np.stack([v.real, v.imag], -1).tolist()
+    return np.stack([v.real, v.imag], -1)
 
 
 # --- report text -----------------------------------------------------------------
 
-FLOAT_BLOCK_CUTOFF = 256
+FLOAT_BLOCK_CUTOFF = 128
 _INDENT = "  "
 
 
 def report_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte."""
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with
+    each float64 ndarray written as json writes its ``tolist()``."""
     return _text(obj, 0)
 
 
@@ -74,6 +78,12 @@ def _text(o, level: int) -> str:
         return int.__repr__(o)
     if isinstance(o, float):
         return _json_float(o)
+    if isinstance(o, np.ndarray):
+        if o.dtype != np.float64:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if o.ndim and o.size and np.isfinite(o).all():
+            return _array_text(o, level)
+        return _text(o.tolist(), level)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -111,8 +121,8 @@ def _key(k) -> str:
 
 def _float_block(o, level: int) -> Optional[str]:
     """The text of a nonempty rectangular nest of lists and tuples whose
-    leaves are all finite floats, or None for any other value: the indented
-    skeleton is built once from the shape and filled with one %."""
+    leaves are all finite floats, written as an array; None for any other
+    value."""
     shape = []
     items = [o]
     while True:
@@ -124,30 +134,58 @@ def _float_block(o, level: int) -> Optional[str]:
             return None
         shape.append(lengths.pop())
         items = list(chain.from_iterable(items))
-    texts = _float_reprs(items) if types == {float} else None
-    if texts is None:
+    if types != {float}:
         return None
-    skeleton = "%s"
-    for depth in reversed(range(len(shape))):
-        inner = "\n" + _INDENT * (level + depth + 1)
-        skeleton = "[" + inner + ("," + inner).join([skeleton] * shape[depth]) + "\n" + _INDENT * (level + depth) + "]"
-    return skeleton % tuple(texts)
+    a = np.array(items, dtype=float)
+    return _array_text(a.reshape(shape), level) if np.isfinite(a).all() else None
 
 
-def _float_reprs(values: list) -> Optional[list]:
-    """``repr`` of each float in values, or None when one is NaN or infinite.
-    From FLOAT_BLOCK_CUTOFF values on, each distinct magnitude is formatted
-    once."""
-    if len(values) < FLOAT_BLOCK_CUTOFF:
-        return list(map(float.__repr__, values)) if all(map(math.isfinite, values)) else None
-    a = np.array(values, dtype=float)
-    if not np.isfinite(a).all():
-        return None
-    magnitudes, inverse = np.unique(np.abs(a), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, magnitudes.tolist())), dtype=object)[inverse]
-    negative = np.signbit(a)
-    texts[negative] = np.add("-", texts[negative])  # repr(-x) == "-" + repr(x) for finite x, -0.0 too
-    return texts.tolist()
+def _array_text(a: np.ndarray, level: int) -> str:
+    """json's indented text, at nesting level ``level``, of a.tolist() for
+    a nonempty finite float64 array of one or more dimensions."""
+    k = a.ndim
+    line = ["\n" + _INDENT * (level + d) for d in range(k + 1)]  # a new line at depth d
+    opens = [""] * (k + 1)  # opens[d] opens the lists at depths d..k-1
+    closes = [""] * (k + 1)  # closes[d] closes the lists at depths k-1..d
+    for d in reversed(range(k)):
+        opens[d] = "[" + line[d + 1] + opens[d + 1]
+        closes[d] = closes[d + 1] + line[d] + "]"
+    seps = [closes[k - c] + "," + line[k - c] + opens[k - c] for c in range(k)]
+    return _join_floats(a, seps + [opens[0]], closes[0])
+
+
+def _join_floats(a: np.ndarray, seps: list, end: str) -> str:
+    """The leaves of the nonempty float64 array a in row-major order as
+    ``float.__repr__`` texts, each preceded by seps[c], where c is the
+    number of axes on which the leaf starts a new row (a.ndim for the first
+    leaf), and the text closed by end.
+
+    A negative leaf is its magnitude's text with "-" at the end of its
+    separator (repr(-x) == "-" + repr(x) for every float but NaN, -0.0 and
+    -inf included).  From FLOAT_BLOCK_CUTOFF leaves on each distinct
+    magnitude is formatted once: a Hermitian matrix repeats about half of
+    its magnitudes, and below the cutoff np.unique's fixed cost outweighs
+    that saving."""
+    flat = a.ravel()
+    magnitudes = np.abs(flat)
+    if flat.size < FLOAT_BLOCK_CUTOFF:
+        texts = list(map(float.__repr__, magnitudes.tolist()))
+    else:
+        distinct, inverse = np.unique(magnitudes, return_inverse=True)
+        texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[inverse]
+    # index into the table: 2 c for the c axes on which a leaf starts a new
+    # row, plus 1 for a negative leaf
+    keys = np.zeros(a.shape, dtype=np.intp)
+    for axis in range(1, a.ndim):  # the leaves whose indices from axis on are all 0
+        keys[(slice(None),) * axis + (0,) * (a.ndim - axis)] += 2
+    keys.flat[0] = 2 * a.ndim
+    keys = keys.ravel() + (np.signbit(flat) & ~np.isnan(flat))
+    table = np.array([sep + sign for sep in seps for sign in ("", "-")], dtype=object)
+    pieces = np.empty(2 * flat.size + 1, dtype=object)
+    pieces[0:-1:2] = table[keys]
+    pieces[1::2] = texts
+    pieces[-1] = end
+    return "".join(pieces.tolist())
 
 
 # --- guards ------------------------------------------------------------------
@@ -174,8 +212,11 @@ def _int_pair(value, what: str) -> tuple[int, int]:
 
 
 def _finite(value, what: str, *args) -> float:
-    """A JSON number as a finite float; NaN, infinities and overflow are
-    refused, naming the field what.format(*args)."""
+    """A JSON number as a finite float; strings, booleans and other values,
+    NaN, infinities and overflow are refused, naming the field
+    what.format(*args)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{what.format(*args)} must be a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
@@ -239,7 +280,7 @@ def model_from_json(obj: dict) -> CoefficientModel:
 # --- point sets and Gram matrices ----------------------------------------------
 
 def points_to_json(pts: ComplexPointSet) -> dict:
-    return {"dimension": pts.dimension, "points": complex_pairs(pts.points)}
+    return {"dimension": pts.dimension, "points": complex_pairs(pts.points).tolist()}
 
 
 def points_from_json(obj: dict) -> ComplexPointSet:
@@ -277,10 +318,7 @@ def gram_to_json(g: GramMatrix, spectrum: Optional[HermitianSpectrum] = None) ->
 def gram_to_csv(g: GramMatrix) -> str:
     """Row-major CSV with quoted "re,im" cells (``repr`` of each part),
     CRLF line ends."""
-    n, m = g.entries.shape
-    flat = np.stack([g.entries.real, g.entries.imag], -1).ravel().tolist()
-    texts = _float_reprs(flat) or list(map(float.__repr__, flat))
-    return ((",".join(['"%s,%s"'] * m) + "\r\n") * n) % tuple(texts)
+    return _join_floats(complex_pairs(g.entries), [",", '","', '"\r\n"', '"'], '"\r\n')
 
 
 # --- annihilating configurations -------------------------------------------------
@@ -289,7 +327,7 @@ def witness_to_json(w: AnnihilationWitness) -> dict:
     return {
         "p": w.p,
         "q": w.q,
-        "thetas": w.thetas.tolist(),
+        "thetas": w.thetas,
         "points": complex_pairs(w.points),
         "coeffs": complex_pairs(w.coefficients),
         "max_residual": w.max_residual,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
@@ -75,6 +76,28 @@ def test_malformed_json_is_exit_2(workdir, capsys):
     code, report, err = run(capsys, "jset-check", str(bad))
     assert code == 2 and report is None
     assert "line 1" in err and "column" in err
+
+
+def test_each_input_is_read_once_and_digested_as_read(workdir, capsys, monkeypatch):
+    tmp, write = workdir
+    model = write("model.json", model_to_json(diagonal_factorial_model()))
+    points = write("points.json", points_to_json(scalar_points([0.4 + 0.1j, -0.2])))
+    reads = []
+
+    def counted(read):
+        def wrapper(self, *args, **kwargs):
+            reads.append(str(self))
+            return read(self, *args, **kwargs)
+
+        return wrapper
+
+    for method in ("read_bytes", "read_text"):
+        monkeypatch.setattr(Path, method, counted(getattr(Path, method)))
+    code, report, _ = run(capsys, "gram", model, points)
+    assert code == 0 and sorted(reads) == sorted([model, points])
+    flags = json.dumps({"seed": 0, "tol": 1e-10}, sort_keys=True).encode("utf-8")
+    data = b"".join(Path(path).read_bytes() + b"\x00" for path in (model, points)) + flags
+    assert report["inputs_digest"] == hashlib.sha256(data).hexdigest()
 
 
 def test_unknown_field_is_exit_2(workdir, capsys):

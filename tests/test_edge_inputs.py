@@ -95,6 +95,28 @@ def test_infinite_weight_is_refused(cli):
     assert_refused(*result, "family weight 0 w must be a finite number")
 
 
+@pytest.mark.parametrize(
+    "field, value, phrase",
+    [
+        ("coordinate", "0.25", "coordinate of point 0 must be a number, got '0.25'"),
+        ("coordinate", True, "coordinate of point 0 must be a number, got True"),
+        ("family weight", "1.5", "family weight 0 w must be a number, got '1.5'"),
+        ("point weight", False, "point weight at [0, 0] must be a number, got False"),
+    ],
+)
+def test_non_number_is_refused(cli, field, value, phrase):
+    # float() of a JSON string or boolean used to be accepted with exit 0
+    model = json.loads((GOLDEN / "model_even.json").read_text(encoding="utf-8"))
+    points = json.loads((GOLDEN / "points_n8_m1.json").read_text(encoding="utf-8"))
+    if field == "coordinate":
+        points["points"][0][0][0] = value
+    elif field == "family weight":
+        model["family_weights"][0]["w"] = value
+    else:
+        model["point_weights"][0][2] = value
+    assert_refused(*cli("gram", model, points), phrase)
+
+
 def test_exp_modulus_squared_overflow_is_refused(cli):
     result = cli("gram", model_to_json(diagonal_factorial_model()), scalar_points(30, 0.5 + 0.2j))
     assert_refused(*result, "overflows double precision at |a| = 900")

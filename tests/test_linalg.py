@@ -70,6 +70,55 @@ def test_closest_pair():
     assert all(closest_pair(pair[:, None])[0] == abs(pair[0] - pair[1]) for pair in z)
 
 
+def closest_pair_reference(rows):
+    """closest_pair as one n x n distance matrix, maximized one column at a time."""
+    rows = np.asarray(rows, dtype=complex)
+    n = rows.shape[0]
+    if n < 2:
+        return math.inf, 0, 0
+    dist = np.zeros((n, n))
+    for col in rows.T:
+        diff = col[:, None] - col[None, :]
+        np.maximum(dist, np.hypot(diff.real, diff.imag), out=dist)
+    dist[np.isnan(dist)] = math.inf
+    np.fill_diagonal(dist, math.inf)
+    i, j = divmod(int(dist.argmin()), n)
+    return float(dist[i, j]), i, j
+
+
+def test_closest_pair_matches_the_full_distance_matrix():
+    rng = np.random.default_rng(5)
+    special = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 5e-324, 1e308])
+    def complex_of(re, im):  # re + 1j * im would turn an infinite im into nan + inf j
+        z = np.empty(np.shape(re), dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    cases = []
+    for _ in range(3000):
+        n, m = int(rng.integers(0, 9)), int(rng.integers(0, 5))
+        kind = rng.integers(4)
+        if kind == 0:  # small integers: ties everywhere
+            rows = complex_of(rng.integers(-2, 3, (n, m)), rng.integers(-1, 2, (n, m)))
+        elif kind == 1:
+            rows = complex_of(rng.choice(special, (n, m)), rng.choice(special, (n, m)))
+        else:
+            re, im = rng.standard_normal((2, n, m))
+            hit = rng.random((n, m)) < 0.2
+            re[hit] = rng.choice(special, hit.sum())
+            rows = complex_of(re, im)
+            if kind == 3 and n:
+                rows = rows[rng.integers(0, n, n)]  # repeated rows
+        cases.append(rows)
+    z = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    cases += [z @ z.conj().T, np.zeros((40, 3)), np.ones((64, 64)) * math.nan]
+    with np.errstate(invalid="ignore"):
+        for rows in cases:
+            got, want = closest_pair(rows), closest_pair_reference(rows)
+            assert got == want
+            assert type(got[1]) is int and type(got[2]) is int
+
+
 def test_eigen_residuals_at_size_64():
     rng = np.random.default_rng(0)
     a = random_psd(rng, 64) - 2 * np.eye(64)

@@ -40,9 +40,9 @@ def test_complex_pairs_matches_per_element_encoding():
         ([0j], [pair(0j)]),
     ]
     for values, expected in cases:
-        assert json.dumps(complex_pairs(values)) == json.dumps(expected)
-    assert json.dumps(complex_pairs(flat)[1]) == "[-0.0, 0.5]"
-    assert json.dumps(complex_pairs(square)[0][1]) == "[-0.0, -0.0]"
+        assert json.dumps(complex_pairs(values).tolist()) == json.dumps(expected)
+    assert json.dumps(complex_pairs(flat)[1].tolist()) == "[-0.0, 0.5]"
+    assert json.dumps(complex_pairs(square)[0][1].tolist()) == "[-0.0, -0.0]"
 
 
 def test_gram_report_fields_come_from_the_spectrum():
@@ -53,7 +53,7 @@ def test_gram_report_fields_come_from_the_spectrum():
     spectrum = hermitian_eigen(g.entries, 1e-12)
     full = gram_to_json(g, spectrum)
     assert full["min_eigenvalue"] == spectrum.min and full["psd_verdict"] == spectrum.verdict
-    assert full["entries"] == [[[2.0, 0.0], [0.0, 1.0]], [[-0.0, -1.0], [2.0, 0.0]]]
+    assert full["entries"].tolist() == [[[2.0, 0.0], [0.0, 1.0]], [[-0.0, -1.0], [2.0, 0.0]]]
     assert gram_to_csv(g) == '"2.0,0.0","0.0,1.0"\r\n"-0.0,-1.0","2.0,0.0"\r\n'
 
 
@@ -63,8 +63,9 @@ def test_gram_csv_on_both_sides_of_the_cutoff(monkeypatch):
     entries = z @ z.conj().T
     entries[0, 1] = complex(-0.0, 0.0)
     entries[2, 3] = complex(5e-324, -1e300)
+    entries[4, 5] = complex(-math.nan, -math.inf)  # repr(x) of a NaN has no sign
     buf = io.StringIO()  # the csv module's writer, which gram_to_csv replaced
-    csv.writer(buf).writerows([f"{re!r},{im!r}" for re, im in row] for row in complex_pairs(entries))
+    csv.writer(buf).writerows([f"{re!r},{im!r}" for re, im in row] for row in complex_pairs(entries).tolist())
     expected = buf.getvalue()
     for cutoff in (1, 10**9):
         monkeypatch.setattr(hermpd.schema, "FLOAT_BLOCK_CUTOFF", cutoff)
@@ -101,6 +102,36 @@ def float_blocks(draw):
     return block
 
 
+@st.composite
+def float_arrays(draw):
+    """float64 arrays of 0 to 3 dimensions, zero-length axes included, with
+    up to 900 leaves, so on both sides of FLOAT_BLOCK_CUTOFF: either a few
+    magnitudes with random signs, or random bit patterns, sometimes
+    with a special value."""
+    shape = draw(st.lists(st.integers(0, 30), max_size=3).filter(lambda s: math.prod(s) <= 900))
+    size = math.prod(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(any_float, min_size=1, max_size=40)))
+        values = rng.choice(pool, size) * rng.choice([-1.0, 1.0], size)
+    else:
+        values = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    if size and draw(st.booleans()):
+        values[rng.integers(size)] = draw(st.sampled_from(SPECIAL))
+    return values.reshape(shape)
+
+
+def as_lists(obj):
+    """obj with every ndarray replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(as_lists, obj))
+    return obj
+
+
 leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -112,7 +143,7 @@ leaves = st.one_of(
     st.text(max_size=4),
 )
 json_values = st.recursive(
-    st.one_of(leaves, float_blocks()),
+    st.one_of(leaves, float_blocks(), float_arrays()),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -123,10 +154,10 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(json_values)
 def test_report_text_matches_json_dumps(obj):
-    assert report_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert report_text(obj) == json.dumps(as_lists(obj), indent=2, sort_keys=True)
 
 
 def test_report_text_refuses_what_json_refuses():
@@ -135,3 +166,7 @@ def test_report_text_refuses_what_json_refuses():
             json.dumps(obj, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             report_text(obj)
+    # of arrays, only float64 ones are written
+    for array in (np.arange(3), np.zeros(2, dtype=np.float32), np.zeros((2, 2), dtype=complex), np.array([True]), np.array(["a"])):
+        with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+            report_text({"a": [array]})
