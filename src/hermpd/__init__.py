@@ -76,6 +76,7 @@ from .oracle import (
     TruncationGuardError,
     collocation,
     modulus_class_sums,
+    monomial_table,
     power_sum_window,
     quadratic_form,
     strictness_oracle,

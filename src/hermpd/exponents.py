@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -186,9 +186,15 @@ def members_upto(spec: ExponentSetSpec, total_degree: int) -> list[ExponentPair]
             f"truncation {total_degree} asks for {count} exponent pairs, over the budget of {TRUNCATION_MEMBER_BUDGET}; refused"
         )
     for fam, c in zip(spec.families, counts):
-        for s in range(c):
-            out.add(fam.member(s))
-    return sorted(out)
+        (k, l), (dk, dl) = fam.start, fam.step
+        out.update(zip(_progression(k, dk, c), _progression(l, dl, c)))
+    # the sorted pairs made ExponentPairs in C, without the Python-level __new__
+    return list(map(tuple.__new__, repeat(ExponentPair), sorted(out)))
+
+
+def _progression(start: int, step: int, count: int):
+    """start, start + step, ... (count terms)."""
+    return range(start, start + count * step, step) if step else repeat(start, count)
 
 
 def difference_profile(spec: ExponentSetSpec) -> DifferenceProfile:

@@ -217,31 +217,39 @@ class _Monomials:
     with the float operations of eval_kernel's scalar expression.
 
     CPython raises a complex to an integer power k <= 100 by binary powering
-    from 1: it multiplies the squares a^(2^j) in ascending j.  Multiplying by
+    from 1: it multiplies the squares a^(2^j) in ascending j.  So a^k is
+    a^(k - 2^top) times a^(2^top), for the top bit 2^top of k: each power
+    is kept once formed, and a new one costs one product.  Multiplying by
     the exact 1 (power 0) or by a real w changes at most the sign of a zero
     component, which no later product or sum turns into a different nonzero
     value, and a sum that starts at +0 never holds a -0.  conj(a)^l is
     conj(a^l) because rounding is symmetric.  finite marks the entries at
     which every power formed so far is finite, as CPython's complex power
-    needs to return instead of raising OverflowError.
+    needs to return instead of raising OverflowError; a power that is not
+    finite makes every power it is a factor of not finite, so marking the
+    factors formed on the way marks no other entry.
     """
 
     def __init__(self, a: np.ndarray):
-        self.squares = [a]
+        self.powers = {1: a}
         self.one = np.zeros_like(a)
         self.one[0] = 1.0
         self.finite = np.ones(a.shape[1:], dtype=bool)
 
     def power(self, k: int) -> np.ndarray | None:
         """a^k, or None for the exact 1 at k = 0."""
-        result = None
-        for j in range(k.bit_length()):
-            if j == len(self.squares):
-                self.squares.append(_cmul(self.squares[-1], self.squares[-1]))
-            if k >> j & 1:
-                result = self.squares[j] if result is None else _cmul(result, self.squares[j])
-        if result is not None:
+        if k == 0:
+            return None
+        result = self.powers.get(k)
+        if result is None:
+            top = 1 << (k.bit_length() - 1)
+            if k == top:
+                half = self.power(top >> 1)
+                result = _cmul(half, half)
+            else:
+                result = _cmul(self.power(k - top), self.power(top))
             self.finite &= np.isfinite(result).all(axis=0)
+            self.powers[k] = result
         return result
 
     def __call__(self, k: int, l: int, w: float | None = None) -> np.ndarray:
@@ -393,13 +401,16 @@ def _kernel_values(model: CoefficientModel, flat: np.ndarray, tol: float) -> np.
         radii, expand = r[distinct], np.cumsum(distinct) - 1
         fams = list(zip(families, model.rule.family_weights))
         chunk = max(1, 8192 // radii.size)  # families per _array_cuts call, to bound memory
+        zsteps = {}  # families with the same step share its monomial
         for lo in range(0, len(fams), chunk):
             cuts = _array_cuts(radii, fams[lo : lo + chunk], budget)[:, expand]
             for (fam, fw), cut in zip(fams[lo : lo + chunk], cuts):
                 bad |= cut < 0
                 np.maximum(cut, 0, out=cut)
                 term = monomial(fam.start.k, fam.start.l, fw.w)
-                zstep = monomial(fam.step.k, fam.step.l)
+                zstep = zsteps.get(fam.step)
+                if zstep is None:
+                    zstep = zsteps[fam.step] = monomial(fam.step.k, fam.step.l)
                 if np.all(cut[:-1] >= cut[1:]):
                     _add_series(total, term, zstep, fw.rho, cut)
                 else:  # rounding broke the order by |a|: sort this family by its cut

@@ -5,6 +5,11 @@ scalar points vanishes exactly when the coefficient vector annihilates every
 monomial column, so strictness at a point set is equivalent to full row rank
 of the collocation matrix.  These oracles stay independent of the series
 evaluator except where a cross-check is the point.
+
+The monomial values come from ``monomial_table``: each power z^k and
+conj(z)^l is formed once per distinct exponent, by the same numpy power as
+the expression ``z**k * np.conj(z)**l``, and the columns are gathered from
+those powers, so every value has that expression's bits.
 """
 
 from __future__ import annotations
@@ -68,15 +73,43 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
+def _power_rows(base: np.ndarray, exponents) -> np.ndarray:
+    """base**e for each e of exponents as rows, each distinct power formed
+    once.  The exponents stay as given: numpy squares for a Python int 2
+    only, and a numpy integer 2 takes the general power, with other bits."""
+    distinct = dict.fromkeys(exponents)
+    position = dict(zip(distinct, range(len(distinct))))
+    return np.stack([base**e for e in distinct]).take(list(map(position.__getitem__, exponents)), axis=0)
+
+
+def monomial_table(points, exponents, weights=None) -> np.ndarray:
+    """Rows z**k * np.conj(z)**l over the points z, one per (k, l) of
+    exponents, bit for bit as that expression; with weights c (one per
+    point), rows (c * z**k) * np.conj(z)**l.
+
+    Every product runs over contiguous operands, where numpy's complex
+    multiply gives the bits it gives on 1-D arrays; a strided or broadcast
+    operand can take a loop with other rounding, so the weights are tiled."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    if not len(exponents):
+        return np.zeros((0, pts.size), dtype=complex)
+    ks, ls = zip(*exponents)
+    powers = _power_rows(pts, ks)
+    if weights is not None:
+        powers = np.tile(np.asarray(weights, dtype=complex).ravel(), (len(ks), 1)) * powers
+    return powers * _power_rows(np.conj(pts), ls)
+
+
 def collocation(points, spec: ExponentSetSpec, truncation: int, tol: float = 1e-10) -> CollocationMatrix:
     """Collocation matrix over all (k, l) in J with k + l <= truncation,
-    columns in lexicographic order, with its numerical rank."""
+    columns in lexicographic order (from monomial_table), with its numerical
+    rank.  The points are checked first: nonempty, nonzero and distinct."""
+    pts = _check_points(points)
     if truncation < 0:
         raise ValueError(f"truncation must be nonnegative, got {truncation}")
-    pts = _check_points(points)
     cols = members_upto(spec, truncation)
+    entries = np.ascontiguousarray(monomial_table(pts, cols).T)
     if cols:
-        entries = np.stack([pts**k * np.conj(pts) ** l for k, l in cols], axis=1)
         if not np.isfinite(entries).all():
             radius = float(np.abs(pts).max())
             raise KernelRangeError(
@@ -85,7 +118,6 @@ def collocation(points, spec: ExponentSetSpec, truncation: int, tol: float = 1e-
         sing = np.linalg.svd(entries, compute_uv=False)
         rank = int((sing > tol * row_sum_scale(entries)).sum())
     else:
-        entries = np.zeros((pts.size, 0), dtype=complex)
         rank = 0
     return CollocationMatrix(pts, tuple(cols), entries, rank)
 
@@ -107,9 +139,9 @@ def strictness_oracle(
     returns a unit annihilating vector, validated against the full kernel
     quadratic form.
     """
-    pts = _check_points(points)
+    coll = collocation(points, model.spec, truncation, tol)  # checks the points
+    pts = coll.points
     n = pts.size
-    coll = collocation(pts, model.spec, truncation, tol)
     radius = float(np.abs(pts).max())
     tail = truncation_tail_mass(model, truncation, radius)
     if coll.rank == n:
@@ -203,7 +235,8 @@ def modulus_class_sums(points, c, exponent_list) -> dict[float, np.ndarray]:
     for members in classes:
         zs = pts[members]
         cs = c[members]
-        sums = np.array([np.sum(cs * zs**k * np.conj(zs) ** l) for k, l in exponents])
+        # each row summed on its own, as np.sum sums a 1-D array
+        sums = np.sum(monomial_table(zs, exponents, cs), axis=1) if exponents else np.array([])
         out[float(moduli[members[0]])] = sums
     return out
 

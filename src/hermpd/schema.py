@@ -33,6 +33,7 @@ the same join.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -143,18 +144,39 @@ def _float_block(o, level: int) -> Optional[str]:
 def _array_text(a: np.ndarray, level: int) -> str:
     """json's indented text, at nesting level ``level``, of a.tolist() for
     a nonempty finite float64 array of one or more dimensions."""
-    k = a.ndim
+    return _join_floats(a, *_array_separators(a.ndim, level))
+
+
+@lru_cache(maxsize=64)
+def _array_separators(k: int, level: int) -> tuple[tuple[str, ...], str]:
+    """The separators of _join_floats for a k-dimensional array at nesting
+    level ``level``, and the text that closes it."""
     line = ["\n" + _INDENT * (level + d) for d in range(k + 1)]  # a new line at depth d
     opens = [""] * (k + 1)  # opens[d] opens the lists at depths d..k-1
     closes = [""] * (k + 1)  # closes[d] closes the lists at depths k-1..d
     for d in reversed(range(k)):
         opens[d] = "[" + line[d + 1] + opens[d + 1]
         closes[d] = closes[d + 1] + line[d] + "]"
-    seps = [closes[k - c] + "," + line[k - c] + opens[k - c] for c in range(k)]
-    return _join_floats(a, seps + [opens[0]], closes[0])
+    seps = tuple(closes[k - c] + "," + line[k - c] + opens[k - c] for c in range(k))
+    return seps + (opens[0],), closes[0]
 
 
-def _join_floats(a: np.ndarray, seps: list, end: str) -> str:
+@lru_cache(maxsize=64)
+def _separator_keys(shape: tuple[int, ...], seps: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The separator table of _join_floats, indexed by 2 c for the c axes on
+    which a leaf starts a new row plus 1 for a negative leaf, and each
+    leaf's 2 c in row-major order."""
+    table = np.array([sep + sign for sep in seps for sign in ("", "-")], dtype=object)
+    keys = np.zeros(shape, dtype=np.uint8)  # at most 2 * 64 + 1
+    for axis in range(1, len(shape)):  # the leaves whose indices from axis on are all 0
+        keys[(slice(None),) * axis + (0,) * (len(shape) - axis)] += 2
+    keys.flat[0] = 2 * len(shape)
+    keys = keys.ravel()
+    table.flags.writeable = keys.flags.writeable = False  # shared by every call
+    return table, keys
+
+
+def _join_floats(a: np.ndarray, seps: tuple[str, ...], end: str) -> str:
     """The leaves of the nonempty float64 array a in row-major order as
     ``float.__repr__`` texts, each preceded by seps[c], where c is the
     number of axes on which the leaf starts a new row (a.ndim for the first
@@ -165,7 +187,8 @@ def _join_floats(a: np.ndarray, seps: list, end: str) -> str:
     -inf included).  From FLOAT_BLOCK_CUTOFF leaves on each distinct
     magnitude is formatted once: a Hermitian matrix repeats about half of
     its magnitudes, and below the cutoff np.unique's fixed cost outweighs
-    that saving."""
+    that saving.  The separator table and the row starts are built once
+    per shape and separators."""
     flat = a.ravel()
     magnitudes = np.abs(flat)
     if flat.size < FLOAT_BLOCK_CUTOFF:
@@ -173,16 +196,9 @@ def _join_floats(a: np.ndarray, seps: list, end: str) -> str:
     else:
         distinct, inverse = np.unique(magnitudes, return_inverse=True)
         texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[inverse]
-    # index into the table: 2 c for the c axes on which a leaf starts a new
-    # row, plus 1 for a negative leaf
-    keys = np.zeros(a.shape, dtype=np.intp)
-    for axis in range(1, a.ndim):  # the leaves whose indices from axis on are all 0
-        keys[(slice(None),) * axis + (0,) * (a.ndim - axis)] += 2
-    keys.flat[0] = 2 * a.ndim
-    keys = keys.ravel() + (np.signbit(flat) & ~np.isnan(flat))
-    table = np.array([sep + sign for sep in seps for sign in ("", "-")], dtype=object)
+    table, starts = _separator_keys(a.shape, seps)
     pieces = np.empty(2 * flat.size + 1, dtype=object)
-    pieces[0:-1:2] = table[keys]
+    pieces[0:-1:2] = table[starts + (np.signbit(flat) & (magnitudes == magnitudes))]  # no "-" for NaN
     pieces[1::2] = texts
     pieces[-1] = end
     return "".join(pieces.tolist())
@@ -318,7 +334,7 @@ def gram_to_json(g: GramMatrix, spectrum: Optional[HermitianSpectrum] = None) ->
 def gram_to_csv(g: GramMatrix) -> str:
     """Row-major CSV with quoted "re,im" cells (``repr`` of each part),
     CRLF line ends."""
-    return _join_floats(complex_pairs(g.entries), [",", '","', '"\r\n"', '"'], '"\r\n')
+    return _join_floats(complex_pairs(g.entries), (",", '","', '"\r\n"', '"'), '"\r\n')
 
 
 # --- annihilating configurations -------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import hermpd.exponents
 from hermpd.exponents import (
     CriterionBudgetError,
     ExponentFamily,
+    ExponentPair,
     ExponentSetSpec,
     TruncationBudgetError,
     check_strict_criterion,
@@ -146,6 +148,44 @@ def test_members_upto():
     members = members_upto(spec, 4)
     assert members == [(0, 0), (0, 2), (0, 4), (2, 0), (4, 0)]
     assert members_upto(full_grid_spec(), 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
+
+
+def members_upto_reference(spec, total_degree):
+    """members_upto as it listed each family member by fam.member(s)."""
+    out = {p for p in spec.points if p.k + p.l <= total_degree}
+    counts = [max(0, (total_degree - f.start.k - f.start.l) // (f.step.k + f.step.l) + 1) for f in spec.families]
+    count = len(out) + sum(counts)
+    budget = hermpd.exponents.TRUNCATION_MEMBER_BUDGET
+    if count > budget:
+        return f"truncation {total_degree} asks for {count} exponent pairs, over the budget of {budget}; refused"
+    for fam, c in zip(spec.families, counts):
+        for s in range(c):
+            out.add(fam.member(s))
+    return sorted(out)
+
+
+pairs = st.tuples(st.integers(0, 12), st.integers(0, 12))
+steps = pairs.filter(lambda step: step != (0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(pairs, max_size=5, unique=True),
+    families=st.lists(st.tuples(pairs, steps), max_size=5, unique=True),
+    total_degree=st.integers(-2, 60),
+    budget=st.integers(0, 400),
+)
+def test_members_upto_matches_per_member_enumeration(points, families, total_degree, budget):
+    spec = ExponentSetSpec(points, [ExponentFamily(start, step) for start, step in families])
+    with mock.patch.object(hermpd.exponents, "TRUNCATION_MEMBER_BUDGET", budget):
+        expected = members_upto_reference(spec, total_degree)
+        try:
+            members = members_upto(spec, total_degree)
+        except TruncationBudgetError as exc:
+            assert str(exc) == expected
+            return
+    assert members == expected
+    assert all(type(pair) is ExponentPair and type(pair.k) is int and type(pair.l) is int for pair in members)
 
 
 def test_members_upto_budget(monkeypatch):

@@ -360,12 +360,21 @@ def quadratic_form_loop(model, points, c, tol):
     radius=st.floats(0.0, 3.0),
     picks=st.lists(st.sampled_from(SPECIAL), max_size=6),
     tol=st.sampled_from([1e-13, 1e-10, 1e-6]),
+    high=st.sampled_from([None, 63, 95, 100]),
+    overflow=st.booleans(),
 )
-def test_kernel_values_bitwise(seed, radius, picks, tol):
+def test_kernel_values_bitwise(seed, radius, picks, tol, high, overflow):
     rng = np.random.default_rng(seed)
-    model = random_weights(rng, random_spec(rng, max_stride=4))
+    spec = random_spec(rng, max_stride=4)
+    if high is not None:  # powers with many set bits, formed from the kept ones
+        points = {(high, 0), (1, high - 1), *spec.points}
+        families = {ExponentFamily((0, high), (1, 0)), ExponentFamily((2, 0), (0, high)), *spec.families}
+        spec = ExponentSetSpec(sorted(points), sorted(families, key=repr), spec.require_origin)
+    model = random_weights(rng, spec)
     z = radius * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
-    args = np.concatenate([z, z.real + 0j, 1j * z.imag, picks])
+    # an argument of modulus 3e4 overflows a power or a series bound
+    far = [3e4 * np.exp(2j * np.pi * rng.random())] if overflow else []
+    args = np.concatenate([z, z.real + 0j, 1j * z.imag, picks, far])
     assert args.size >= ARRAY_CROSSOVER  # the array path runs
     assert outcome(lambda: kernel_values(model, args, tol)) == outcome(lambda: entry_loop(model, args, tol))
     # a Hermitian argument matrix, evaluated on its upper triangle

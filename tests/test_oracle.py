@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermpd.exponents import ExponentFamily, ExponentSetSpec, full_grid_spec
+from hermpd.exponents import ExponentFamily, ExponentSetSpec, full_grid_spec, members_upto
 from hermpd.kernel import (
     diagonal_factorial_model,
     grid_factorial_model,
+    KernelRangeError,
     inner_gram,
     kernel_gram,
     scalar_points,
@@ -19,11 +22,12 @@ from hermpd.oracle import (
     TruncationGuardError,
     collocation,
     modulus_class_sums,
+    monomial_table,
     power_sum_window,
     quadratic_form,
     strictness_oracle,
 )
-from hermpd.sampling import annulus_points
+from hermpd.sampling import annulus_points, random_spec
 from selftest_checks import full_level
 
 
@@ -72,6 +76,127 @@ def test_collocation_rank_rotation_invariant():
     pts = annulus_points(rng, 5)
     u = np.exp(0.91j)
     assert collocation(pts, spec, 12).rank == collocation(u * pts, spec, 12).rank
+
+
+# --- the monomial table against the per-column expression it replaced ---------
+
+def collocation_reference(pts, spec, truncation, tol=1e-10):
+    """The entries and rank of collocation as its per-column comprehension
+    computed them, or the error it raised."""
+    cols = members_upto(spec, truncation)
+    if not cols:
+        return [], 0
+    with np.errstate(all="ignore"):
+        entries = np.stack([pts**k * np.conj(pts) ** l for k, l in cols], axis=1)
+    if not np.isfinite(entries).all():
+        radius = float(np.abs(pts).max())
+        return f"collocation monomials overflow double precision at radius {radius:.6g} (truncation {truncation})"
+    sing = np.linalg.svd(entries, compute_uv=False)
+    return entries.view(np.uint64).tolist(), int((sing > tol * row_sum_scale(entries)).sum())
+
+
+def modulus_class_sums_reference(pts, c, exponents):
+    """The per-class sums as modulus_class_sums' per-exponent loop formed them."""
+    moduli = np.abs(pts)
+    classes: list[list[int]] = []
+    for idx in np.argsort(moduli, kind="stable"):
+        if classes and moduli[idx] - moduli[classes[-1][0]] <= 1e-12 * moduli[idx]:
+            classes[-1].append(int(idx))
+        else:
+            classes.append([int(idx)])
+    out = {}
+    for members in classes:
+        zs, cs = pts[members], c[members]
+        with np.errstate(all="ignore"):
+            sums = np.array([np.sum(cs * zs**k * np.conj(zs) ** l) for k, l in exponents])
+        out[float(moduli[members[0]])] = sums.view(np.uint64).tolist() if sums.size else sums.tolist()
+    return out
+
+
+def sparse_spec(rng):
+    """A random spec, with one sparse family such as step (5, 0) added at
+    random."""
+    spec = random_spec(rng, max_stride=int(rng.integers(1, 7)))
+    if rng.random() < 0.5:
+        start = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+        step = [(5, 0), (0, 5), (7, 2), (1, 6)][int(rng.integers(0, 4))]
+        extra = ExponentFamily(start, step)
+        if extra not in spec.families:
+            spec = ExponentSetSpec(spec.points, spec.families + (extra,), spec.require_origin)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    truncation=st.integers(0, 30),
+    log_radius=st.floats(-3.0, 3.0),
+    real=st.booleans(),
+)
+def test_collocation_entries_match_the_column_expression(seed, n, truncation, log_radius, real):
+    rng = np.random.default_rng(seed)
+    spec = sparse_spec(rng)
+    pts = 10.0 ** rng.uniform(-3.0, log_radius, n) * np.exp(2j * np.pi * rng.random(n))
+    if real:  # real points, some of them negative: zero imaginary parts
+        pts = pts.real * (1 + rng.random(n)) + 0j
+    pts = np.unique(pts)
+    coll = collocation(pts, spec, truncation)
+    assert (coll.entries.view(np.uint64).tolist() if coll.exponents else [], coll.rank) == collocation_reference(
+        coll.points, spec, truncation
+    )
+    assert coll.entries.shape == (pts.size, len(coll.exponents)) and coll.entries.flags.c_contiguous
+    table = monomial_table(pts, coll.exponents)
+    assert table.shape == (len(coll.exponents), pts.size)
+    assert np.array_equal(table.view(np.uint64), coll.entries.T.copy().view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), truncation=st.integers(20, 30), log_radius=st.floats(16.0, 300.0))
+def test_collocation_overflow_refused_like_the_column_expression(seed, truncation, log_radius):
+    rng = np.random.default_rng(seed)
+    spec = ExponentSetSpec(families=[ExponentFamily((0, 0), (1, 0)), ExponentFamily((1, 1), (5, 0))])
+    scale = 10.0 ** rng.uniform(0.0, log_radius, 6)
+    scale[0] = 10.0**log_radius
+    pts = np.unique(annulus_points(rng, 6) * scale)
+    expected = collocation_reference(pts, spec, truncation)
+    assert isinstance(expected, str)  # z^truncation overflows at the largest point
+    with np.errstate(all="ignore"), pytest.raises(KernelRangeError) as refused:
+        collocation(pts, spec, truncation)
+    assert str(refused.value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), classes=st.integers(1, 12), truncation=st.integers(0, 30))
+def test_modulus_class_sums_match_the_per_exponent_loop(seed, n, classes, truncation):
+    rng = np.random.default_rng(seed)
+    moduli = 10.0 ** rng.uniform(-3.0, 3.0, classes)
+    pts = moduli[rng.integers(0, classes, n)] * np.exp(2j * np.pi * rng.random(n))
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    exponents = members_upto(sparse_spec(rng), truncation)
+    with np.errstate(all="ignore"):
+        sums = modulus_class_sums(pts, c, exponents)
+    got = {key: value.view(np.uint64).tolist() if value.size else value.tolist() for key, value in sums.items()}
+    assert got == modulus_class_sums_reference(pts, c, exponents)
+    assert all(value.dtype == (complex if exponents else float) for value in sums.values())
+
+
+def test_points_are_checked_once_by_the_oracle(monkeypatch):
+    # strictness_oracle's points are checked by its collocation call alone,
+    # with collocation's messages
+    import hermpd.oracle
+
+    calls = []
+    check = hermpd.oracle._check_points
+    monkeypatch.setattr(hermpd.oracle, "_check_points", lambda points: calls.append(1) or check(points))
+    model = diagonal_factorial_model()
+    strictness_oracle(model, np.exp(1j * np.array([0.4, 2.0])), truncation=24, tol=1e-8)
+    assert len(calls) == 1
+    for bad, message in (([1.0, 1.0], "duplicate points at indices 0 and 1"), ([0.0, 1.0], "zero point"), ([], "at least one")):
+        with pytest.raises(ValueError, match=message):
+            strictness_oracle(model, np.array(bad), truncation=24, tol=1e-8)
+        with pytest.raises(ValueError, match=message):
+            collocation(np.array(bad), model.spec, 24)
 
 
 def test_strictness_diagonal_witness():
