@@ -44,7 +44,6 @@ from .schema import (
     spec_from_json,
     witness_to_json,
 )
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -208,6 +207,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # imported here, so that the other commands skip it
+
     started = time.perf_counter()
     outcome = run_selftest(level=args.level, seed=args.seed)
     for suite, data in outcome["suites"].items():
@@ -235,44 +236,46 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser; its commands attribute maps each command name to the
+    command's own parser."""
     parser = _ArgumentParser(prog="hermpd", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    p = sub.add_parser("jset-check", help="decide the strictness criterion for an exponent-set file")
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn, command=name)
+        return p
+
+    p = command("jset-check", cmd_jset_check, "decide the strictness criterion for an exponent-set file")
     p.add_argument("spec", help="exponent set JSON")
     p.add_argument("--sphere", action="store_true", help="unit-sphere mode: drop the origin requirement")
     _add_common(p, tol=False, truncation=False)
-    p.set_defaults(fn=cmd_jset_check)
 
-    p = sub.add_parser("counterexample", help="build an annihilating configuration for a failing spec")
+    p = command("counterexample", cmd_counterexample, "build an annihilating configuration for a failing spec")
     p.add_argument("spec", help="exponent set JSON")
     p.add_argument("--witness-out", help="write the witness JSON to this path")
     _add_common(p)
-    p.set_defaults(fn=cmd_counterexample)
 
-    p = sub.add_parser("gram", help="inner and kernel Gram matrices with spectrum and PSD verdict")
+    p = command("gram", cmd_gram, "inner and kernel Gram matrices with spectrum and PSD verdict")
     p.add_argument("model", help="coefficient model JSON")
     p.add_argument("points", help="point set JSON")
     p.add_argument("--csv", help="write the kernel Gram as CSV to this path")
     _add_common(p, truncation=False)
-    p.set_defaults(fn=cmd_gram)
 
-    p = sub.add_parser("oracle", help="strictness by collocation rank, with eigen cross-check")
+    p = command("oracle", cmd_oracle, "strictness by collocation rank, with eigen cross-check")
     p.add_argument("model", help="coefficient model JSON")
     p.add_argument("points", help="scalar point set JSON (dimension 1)")
     _add_common(p)
-    p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("split", help="split an inner-product Gram into rank-one plus PSD remainder")
+    p = command("split", cmd_split, "split an inner-product Gram into rank-one plus PSD remainder")
     p.add_argument("points", help="point set JSON")
     _add_common(p, truncation=False)
-    p.set_defaults(fn=cmd_split)
 
-    p = sub.add_parser("selftest", help="run the invariant suites")
+    p = command("selftest", cmd_selftest, "run the invariant suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     _add_common(p, tol=False, truncation=False)
-    p.set_defaults(fn=cmd_selftest)
 
     return parser
 
@@ -284,9 +287,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the command's own parser when argv starts with a
+    command name, which skips the full parser's work; anything else, and a
+    command line its own parser leaves arguments over from, goes to the full
+    parser, which answers --help and --version and words every refusal."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if not 0 < getattr(args, "tol", 1.0) < math.inf:  # jset-check and selftest take no --tol
             raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
         # overflow to inf or NaN is refused by the finiteness checks, so

@@ -17,7 +17,11 @@ oracle.quadratic_form use it.  It keeps real and imaginary parts as float
 arrays and repeats CPython's scalar float operations one by one (numpy's
 complex multiply, abs, exp and power differ from them in the last bit), and
 only the integer series cut comes from numpy's exp and power, checked
-against a band around the budget.  Below ARRAY_CROSSOVER arguments it calls
+against a band around the budget.  It sums the families in passes: each
+series step forms the next term of every family of a pass with one set of
+array operations, and the kept terms are then added family by family, so
+every entry takes eval_kernel's terms in eval_kernel's order.  Where the
+entries times (families + 4) stay below ARRAY_CROSSOVER it calls
 eval_kernel per entry, which costs less there.
 """
 
@@ -33,9 +37,19 @@ from .exponents import ExponentFamily, ExponentPair, ExponentSetSpec, _as_pair
 from .linalg import closest_pair, hermitian_defect, row_sum_scale
 
 
-# kernel_values evaluates at least this many arguments with array arithmetic,
-# fewer one by one; measured near the break-even of 1- and 2-family models
-ARRAY_CROSSOVER = 128
+# kernel_values uses array arithmetic where entries * (families + 4) reaches
+# ARRAY_CROSSOVER and calls eval_kernel per entry below it: the array path
+# costs a fixed time that grows slowly with the family count, the loop a time
+# per entry that grows fast with it (break-even measured near 140, 100, 52
+# and 32 entries for 1, 2, 5 and 17 families)
+ARRAY_CROSSOVER = 600
+# kernel_values sums the family series in passes of PASS_ENTRIES // entries
+# families whose terms are formed together, fewer where the terms a pass
+# keeps (families * entries * steps) would pass PASS_TERMS, 2 MB of (re, im)
+# doubles; a pass of one or two families measured faster forming each
+# family's terms in place, and so does that
+PASS_ENTRIES = 4096
+PASS_TERMS = 1 << 17
 
 
 class KernelRangeError(ValueError):
@@ -232,6 +246,7 @@ class _Monomials:
 
     def __init__(self, a: np.ndarray):
         self.powers = {1: a}
+        self.bare = {}  # a^k conj(a)^l by (k, l), formed without a weight
         self.one = np.zeros_like(a)
         self.one[0] = 1.0
         self.finite = np.ones(a.shape[1:], dtype=bool)
@@ -253,14 +268,20 @@ class _Monomials:
         return result
 
     def __call__(self, k: int, l: int, w: float | None = None) -> np.ndarray:
-        """(w a^k) conj(a)^l; a fresh array when w is given."""
+        """(w a^k) conj(a)^l; a fresh array when w is given, else the one
+        kept for (k, l)."""
+        if w is None and (k, l) in self.bare:
+            return self.bare[k, l]
         value, conj = self.power(k), self.power(l)
         if w is not None:
             value = w * (self.one if value is None else value)
         if conj is not None:
             conj = conj * [[1.0], [-1.0]]
             value = conj if value is None else _cmul(value, conj)
-        return self.one if value is None else value
+        value = self.one if value is None else value
+        if w is None:
+            self.bare[k, l] = value
+        return value
 
 
 def _prefix(mask: np.ndarray) -> int:
@@ -322,16 +343,84 @@ def _array_cuts(r: np.ndarray, fams: list, budget: float) -> np.ndarray:
     return cut
 
 
-def _add_series(total: np.ndarray, term: np.ndarray, zstep: np.ndarray, rho: float, cut: np.ndarray) -> None:
-    """total += term; term *= zstep * (rho/(s+1)) for s = 0..cut, in place on
-    (re, im) rows; cut is non-increasing, so the entries still summing form
-    a prefix."""
-    live = np.searchsorted(-cut, -np.arange(int(cut[0]) + 2), side="right")
-    for s in range(int(cut[0]) + 1):
-        n, m = live[s], live[s + 1]
-        total[:, :n] += term[:, :n]
-        if m:
-            _cmul(term[:, :m], zstep[:, :m] * (rho / (s + 1)), out=term[:, :m])
+def _live_counts(reach: np.ndarray) -> list[int]:
+    """For s = 0..reach[0] + 1, the length of the prefix of reach (which is
+    non-increasing) that holds its entries >= s."""
+    return np.searchsorted(-reach, -np.arange(int(reach[0]) + 2), side="right").tolist()
+
+
+def _add_terms(total: np.ndarray, terms, live: list[int], cut: np.ndarray | None) -> None:
+    """total += the s-th term of terms over the prefix live[s], for s = 0, 1,
+    ..., in place on (re, im) rows; only where cut >= s when cut is given."""
+    for s, term in enumerate(terms):
+        n = live[s]
+        if cut is None:
+            total[:, :n] += term[:, :n]
+        else:
+            np.add(total[:, :n], term[:, :n], out=total[:, :n], where=cut[:n] >= s)
+
+
+def _terms_in_place(term: np.ndarray, zstep: np.ndarray, rho: float, live: list[int]):
+    """term, then term *= zstep * (rho/(s+1)) over the prefix live[s+1], for
+    s = 0.., as long as live is positive."""
+    yield term
+    for s, m in enumerate(live[1:-1]):
+        _cmul(term[:, :m], zstep[:, :m] * (rho / (s + 1)), out=term[:, :m])
+        yield term
+
+
+def _add_pass(total: np.ndarray, monomial: _Monomials, fams: list, cuts: np.ndarray) -> None:
+    """total += the series of every (family, weight) of fams up to its cut
+    (rows of cuts), family by family in the order of fams, each in
+    ascending s, in place on (re, im) rows.
+
+    A family's entries still summing at step s lie within the prefix up to
+    the last entry whose cut reaches s; where rounding put its cuts out of
+    order by |a|, the adds are masked to the entries whose own cut reaches
+    s.  A pass of one or two families forms each family's terms in place,
+    one family after the other.  A larger one forms
+    term_{s+1} = term_s * (zstep * (rho/(s+1))) of every family still
+    stepping with one set of array operations, over the prefix that some
+    family still sums (families with the same step and rho share the
+    factor), keeps the terms and then adds them.  Each product is the one
+    eval_kernel forms, so the terms and sums keep its bits either way.
+    """
+    ordered = (cuts[:, :-1] >= cuts[:, 1:]).all(axis=1).tolist()
+    reach = cuts if all(ordered) else np.maximum.accumulate(cuts[:, ::-1], axis=1)[:, ::-1]  # suffix maxima
+    lives = [_live_counts(row) for row in reach]
+    masks = [None if o else cut for o, cut in zip(ordered, cuts)]
+    if len(fams) < 3:
+        for (fam, fw), live, mask in zip(fams, lives, masks):
+            term = monomial(fam.start.k, fam.start.l, fw.w)
+            _add_terms(total, _terms_in_place(term, monomial(fam.step.k, fam.step.l), fw.rho, live), live, mask)
+        return
+    rank = sorted(range(len(fams)), key=lambda f: -len(lives[f]))  # families stepping longest lead
+    groups: dict = {}  # (step, rho) -> index in zs, numbered in rank order
+    index = [groups.setdefault((fams[f][0].step, fams[f][1].rho), len(groups)) for f in rank]
+    zs = np.stack([monomial(step.k, step.l) for step, _ in groups], axis=1)
+    rho = np.array([[rho] for _, rho in groups])
+    span = _live_counts(reach.max(axis=0))
+    # one block for all steps: measured faster than a block per step, whose
+    # memory the allocator returned to the system and took back every call
+    terms = np.empty((len(span) - 1, 2, len(fams), total.shape[1]))
+    for i, f in enumerate(rank):
+        terms[0, :, i] = monomial(fams[f][0].start.k, fams[f][0].start.l, fams[f][1].w)
+    active = len(rank)
+    for s, m in enumerate(span[1:-1]):
+        while len(lives[rank[active - 1]]) <= s + 2:  # that family's last term is formed
+            active -= 1
+        need = max(index[:active]) + 1  # the groups of the active families
+        factor = zs[:, :need, :m] * (rho[:need] / (s + 1))
+        if 1 < need < active:
+            factor = factor[:, index[:active]]
+        _cmul(terms[s, :, :active, :m], factor, out=terms[s + 1, :, :active, :m])
+    slot = {f: i for i, f in enumerate(rank)}
+    for f, (live, mask) in enumerate(zip(lives, masks)):
+        _add_terms(total, terms[: len(live) - 1, :, slot[f]], live, mask)
+
+
+def _array_path(model: CoefficientModel, entries: int) -> bool:
+    return entries * (len(model.spec.families) + 4) >= ARRAY_CROSSOVER
 
 
 def _max_exponent(model: CoefficientModel) -> int:
@@ -344,14 +433,18 @@ def kernel_values(model: CoefficientModel, args, tol: float) -> np.ndarray:
     complex array of args' shape; raises what the first raising entry (in C
     order) raises.
 
-    Below ARRAY_CROSSOVER evaluated entries, for exponents above 100 (where
-    CPython's complex power leaves binary powering) and for a per-family
-    budget outside [1e-280, 1e280], the entries go through eval_kernel one
-    by one.
+    Where the evaluated entries times (families + 4) stay below
+    ARRAY_CROSSOVER, for exponents above 100 (where CPython's complex power
+    leaves binary powering) and for a per-family budget outside [1e-280,
+    1e280], the entries go through eval_kernel one by one.
     Otherwise real and imaginary parts are float rows that repeat
     eval_kernel's float operations: products as CPython forms them
     (_Monomials, _cmul), families in model order, terms s = 0, 1, ... up to
-    each entry's own cut (_array_cuts, computed once per distinct |a|).
+    each entry's own cut (_array_cuts, computed once per distinct |a|).  The
+    families go in passes of up to PASS_ENTRIES // entries (_add_pass): a
+    pass of three or more forms the next term of all its families at once
+    and keeps the terms until it adds them family by family; a smaller one
+    forms each family's terms in place.
     Entries with a non-finite argument, power or sum, or whose cut overflows,
     then go through eval_kernel.
 
@@ -365,7 +458,7 @@ def kernel_values(model: CoefficientModel, args, tol: float) -> np.ndarray:
     n = args.shape[0] if args.ndim == 2 and args.shape[0] == args.shape[1] else 0
     if not (n and (args == args.conj().T).all()):
         return _kernel_values(model, args.ravel(), tol).reshape(args.shape)
-    if n * (n + 1) // 2 >= ARRAY_CROSSOVER:
+    if _array_path(model, n * (n + 1) // 2):
         upper = np.triu_indices(n)
         values = _kernel_values(model, args[upper], tol)
         out = np.empty_like(args)
@@ -386,7 +479,7 @@ def _kernel_values(model: CoefficientModel, flat: np.ndarray, tol: float) -> np.
     """kernel_values on a 1-D complex array."""
     families = model.spec.families
     budget = tol / len(families) if families else 1.0
-    if flat.size < ARRAY_CROSSOVER or not 1e-280 <= budget <= 1e280 or _max_exponent(model) > 100:
+    if not _array_path(model, flat.size) or not 1e-280 <= budget <= 1e280 or _max_exponent(model) > 100:
         return np.array([eval_kernel(model, a, tol) for a in flat.tolist()], dtype=complex)
     with np.errstate(all="ignore"):  # overflow is caught on the powers and sums
         r = np.hypot(flat.real, flat.imag)  # bitwise abs(a), as closest_pair relies on
@@ -401,23 +494,15 @@ def _kernel_values(model: CoefficientModel, flat: np.ndarray, tol: float) -> np.
         radii, expand = r[distinct], np.cumsum(distinct) - 1
         fams = list(zip(families, model.rule.family_weights))
         chunk = max(1, 8192 // radii.size)  # families per _array_cuts call, to bound memory
-        zsteps = {}  # families with the same step share its monomial
         for lo in range(0, len(fams), chunk):
-            cuts = _array_cuts(radii, fams[lo : lo + chunk], budget)[:, expand]
-            for (fam, fw), cut in zip(fams[lo : lo + chunk], cuts):
-                bad |= cut < 0
-                np.maximum(cut, 0, out=cut)
-                term = monomial(fam.start.k, fam.start.l, fw.w)
-                zstep = zsteps.get(fam.step)
-                if zstep is None:
-                    zstep = zsteps[fam.step] = monomial(fam.step.k, fam.step.l)
-                if np.all(cut[:-1] >= cut[1:]):
-                    _add_series(total, term, zstep, fw.rho, cut)
-                else:  # rounding broke the order by |a|: sort this family by its cut
-                    idx = np.argsort(-cut, kind="stable")
-                    part = total[:, idx]
-                    _add_series(part, term[:, idx], zstep[:, idx], fw.rho, cut[idx])
-                    total[:, idx] = part
+            part = fams[lo : lo + chunk]
+            cuts = _array_cuts(radii, part, budget)[:, expand]
+            if cuts.min() < 0:
+                bad |= (cuts < 0).any(axis=0)
+                np.maximum(cuts, 0, out=cuts)
+            size = max(1, min(PASS_ENTRIES, PASS_TERMS // (int(cuts.max()) + 1)) // r.size)  # families per pass
+            for i in range(0, len(part), size):
+                _add_pass(total, monomial, part[i : i + size], cuts[i : i + size])
         bad |= ~(monomial.finite & np.isfinite(total).all(axis=0))
     out = np.empty(r.size, dtype=complex)
     out.real[order], out.imag[order] = total

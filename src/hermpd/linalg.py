@@ -216,6 +216,10 @@ def unitary_complete(v) -> np.ndarray:
     q[:, 0] *= rot / abs(rot)
     out = q.T.copy()
     out[0] = v
-    for i in range(1, m):
-        out[i] = phase_normalize(out[i])
+    # phase_normalize (rel 1e-12) on every completion row at once; rows of a unitary matrix are not 0
+    rows = out[1:]
+    mags = np.abs(rows)
+    index = np.arange(m - 1), np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)
+    rows *= (np.conj(rows[index]) / mags[index])[:, None]
+    rows[index] = mags[index]
     return out

@@ -8,7 +8,7 @@ counts; the full level runs the documented counts.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, TypeAlias
 
 import numpy as np
 
@@ -51,7 +51,8 @@ from .construction import (
 )
 from .oracle import collocation, modulus_class_sums, quadratic_form, strictness_oracle
 
-Check = Callable[[np.random.Generator, str], tuple[int, list[str]]]
+# a string, so that importing this module does not import numpy.random
+Check: TypeAlias = "Callable[[np.random.Generator, str], tuple[int, list[str]]]"
 
 
 def _reps(level: str, quick: int, full: int) -> int:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +253,15 @@ def test_removed_tol_flag_is_refused(workdir, capsys):
         code, report, err = run(capsys, *argv)
         assert code == 2 and report is None
         assert err.count("\n") == 1 and "unrecognized arguments: --tol" in err
+
+
+def test_import_leaves_selftest_and_numpy_random_unloaded():
+    # only the selftest command needs hermpd.selftest, and numpy.random with it
+    src = str(Path(hermpd.cli.__file__).resolve().parents[1])
+    code = "import sys, hermpd.cli; print(sorted({'hermpd.selftest', 'numpy.random'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_cached_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):

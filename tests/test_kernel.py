@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import hermpd.kernel
 from hermpd.exponents import ExponentFamily, ExponentPair, ExponentSetSpec, even_difference_spec
 from hermpd.kernel import (
-    ARRAY_CROSSOVER,
     CoefficientModel,
     ComplexPointSet,
     FamilyWeight,
@@ -375,13 +374,15 @@ def test_kernel_values_bitwise(seed, radius, picks, tol, high, overflow):
     # an argument of modulus 3e4 overflows a power or a series bound
     far = [3e4 * np.exp(2j * np.pi * rng.random())] if overflow else []
     args = np.concatenate([z, z.real + 0j, 1j * z.imag, picks, far])
-    assert args.size >= ARRAY_CROSSOVER  # the array path runs
+    assert hermpd.kernel._array_path(model, args.size)  # the array path runs
     assert outcome(lambda: kernel_values(model, args, tol)) == outcome(lambda: entry_loop(model, args, tol))
     # a Hermitian argument matrix, evaluated on its upper triangle
-    pts = z[:16]
+    # 20 points: their 210 upper-triangle entries take the array path for
+    # every model, one without families too
+    pts = z[:20]
     gram = inner_gram(scalar_points(pts)).entries
     assert outcome(lambda: kernel_values(model, gram, tol)) == outcome(lambda: entry_loop(model, gram, tol))
-    c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     assert outcome(lambda: quadratic_form(model, pts, c, tol)) == outcome(lambda: quadratic_form_loop(model, pts, c, tol))
 
 
@@ -410,6 +411,89 @@ def test_kernel_values_degenerate_inputs(monkeypatch):
     high = point_model({(101, 0): 1.0, (0, 0): 1.0})
     args = np.array([0.9, 0.99j, -0.5])
     assert outcome(lambda: kernel_values(high, args, 1e-12)) == outcome(lambda: entry_loop(high, args, 1e-12))
+
+
+# --- series passes: the next term of every family at once ------------------
+
+def five_step_model(rng) -> CoefficientModel:
+    """Five families with five distinct steps, the origin and one more point."""
+    shapes = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (2, 0)), ((1, 0), (0, 2))]
+    spec = ExponentSetSpec(points=[(0, 0), (2, 1)], families=[ExponentFamily(a, b) for a, b in shapes])
+    return random_weights(rng, spec)
+
+
+def pass_points(rng, n):
+    """n - 2 points of modulus 0.4..0.95 and two of modulus 1.1..1.3."""
+    radius = np.concatenate([0.4 + 0.55 * rng.random(n - 2), 1.1 + 0.2 * rng.random(2)])
+    return radius * np.exp(2j * np.pi * rng.random(n))
+
+
+@pytest.fixture
+def pass_sizes(monkeypatch):
+    """The family count of every series pass kernel_values makes."""
+    sizes = []
+    add_pass = hermpd.kernel._add_pass
+
+    def counted(total, monomial, fams, cuts):
+        sizes.append(len(fams))
+        add_pass(total, monomial, fams, cuts)
+
+    monkeypatch.setattr(hermpd.kernel, "_add_pass", counted)
+    return sizes
+
+
+def assert_passes_bitwise(model, pts, tols, rng):
+    gram = inner_gram(scalar_points(pts)).entries
+    for tol in tols:
+        assert outcome(lambda: kernel_values(model, gram, tol)) == outcome(lambda: entry_loop(model, gram, tol))
+    c = rng.standard_normal(pts.size) + 1j * rng.standard_normal(pts.size)
+    assert outcome(lambda: quadratic_form(model, pts, c, tols[0])) == outcome(lambda: quadratic_form_loop(model, pts, c, tols[0]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 22, 30])  # 36 to 465 Gram entries
+@pytest.mark.parametrize("name", ["grid16", "five_steps"])
+def test_series_passes_bitwise(name, n, pass_sizes, monkeypatch):
+    monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
+    rng = np.random.default_rng(n)
+    model = grid_factorial_model(16) if name == "grid16" else five_step_model(rng)
+    assert_passes_bitwise(model, pass_points(rng, n), (1e-12, 1e-10), rng)
+    assert max(pass_sizes) > 1  # families formed together
+
+
+def test_series_passes_one_family_each_at_2080_entries(pass_sizes):
+    rng = np.random.default_rng(64)
+    assert_passes_bitwise(grid_factorial_model(16), pass_points(rng, 64), (1e-12,), rng)
+    assert set(pass_sizes) == {1}
+
+
+def test_series_passes_mask_out_of_order_cuts(monkeypatch, pass_sizes):
+    # a cut one step higher at about every third |a| stands in for rounding
+    # that breaks the order of a family's cuts by |a|; eval_kernel takes the
+    # same cuts, so the values must still agree bit for bit
+    series_cut = hermpd.kernel._series_cut
+    unordered = []
+
+    def bumped(r, deg0, step_deg, fw, budget):
+        return series_cut(r, deg0, step_deg, fw, budget) + (hash(r) % 3 == 0)
+
+    def cuts(r, fams, budget):
+        out = np.empty((len(fams), r.size), dtype=np.intp)
+        for f, (fam, fw) in enumerate(fams):
+            deg0, step_deg = fam.start.k + fam.start.l, fam.step.k + fam.step.l
+            for i, radius in enumerate(r.tolist()):
+                try:
+                    out[f, i] = bumped(radius, deg0, step_deg, fw, budget)
+                except OverflowError:
+                    out[f, i] = -1
+        unordered.append(bool((out[:, :-1] < out[:, 1:]).any()))
+        return out
+
+    monkeypatch.setattr(hermpd.kernel, "_series_cut", bumped)
+    monkeypatch.setattr(hermpd.kernel, "_array_cuts", cuts)
+    rng = np.random.default_rng(3)
+    assert_passes_bitwise(grid_factorial_model(16), pass_points(rng, 16), (1e-12,), rng)  # batched
+    assert_passes_bitwise(diagonal_factorial_model(), pass_points(rng, 30), (1e-12,), rng)  # in place
+    assert all(unordered) and 1 in pass_sizes and max(pass_sizes) > 1
 
 
 # --- the certified bound against a 50-digit reference -------------------------

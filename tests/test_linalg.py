@@ -190,6 +190,34 @@ def test_unitary_complete_rejects_non_unit():
         unitary_complete(np.array([1.0, 1.0]))
 
 
+def unitary_complete_per_row(v):
+    """unitary_complete as it was: phase_normalize called on each completion row."""
+    m = v.size
+    basis = np.eye(m, dtype=complex)
+    basis[:, 0] = v
+    q, _ = np.linalg.qr(basis)
+    rot = np.vdot(q[:, 0], v)
+    q[:, 0] *= rot / abs(rot)
+    out = q.T.copy()
+    out[0] = v
+    for i in range(1, m):
+        out[i] = phase_normalize(out[i])
+    return out
+
+
+def test_unitary_complete_normalizes_rows_like_phase_normalize():
+    rng = np.random.default_rng(2026)
+    for case in range(3000):
+        m = int(rng.integers(1, 17))
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        if case % 5 == 0:
+            v.imag[:] = 0.0  # real vectors, whose completion has exact zeros
+        if case % 7 == 0:
+            v[: m // 2] = 0.0  # leading zeros move the first significant entry
+        v /= np.linalg.norm(v)
+        assert unitary_complete(v).tobytes() == unitary_complete_per_row(v).tobytes(), (case, m)
+
+
 # randomized invariants are stated once, in hermpd.selftest.CHECKS
 test_rank_factor_reconstruction_random = full_level("rank_factor")
 test_nullspace_appending_image_preserves_rank = full_level("nullspace")
