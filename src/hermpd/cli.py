@@ -6,9 +6,10 @@ selftest failure or an internal RuntimeError, 2 input refused, 3 criterion
 fails, 4 construction impossible because the criterion holds.  Exit 2 prints
 one line on stderr; its causes are a malformed or invalid input file, a
 non-finite number (NaN or infinity) in it, a --tol that is not a positive
-finite number, a value out of double-precision range (a kernel series or
-tail bound that overflows), a work budget (the criterion's residue cells, a
-witness's points, the exponent pairs up to the truncation), an
+finite number, a value out of double-precision range (a kernel value or
+tail bound that overflows), a kernel value whose rounding bound exceeds its
+tolerance, a work budget (the criterion's residue cells, a witness's
+points, the exponent pairs up to the truncation), an
 uncertifiable truncation and a command line that does not parse (--help
 and --version exit 0).  Reports are deterministic for fixed inputs, seed,
 and version up to the elapsed_ms field.
@@ -218,9 +219,12 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if outcome["ok"] else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, tol: bool = True, truncation: bool = True) -> None:
+KERNEL_TOL = "each kernel value F is within {} * max(1, M) of f(a), M the sum of its terms' moduli, or refused"
+
+
+def _add_common(parser: argparse.ArgumentParser, tol: str | None = "numerical tolerance", truncation: bool = True) -> None:
     if tol:
-        parser.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance (default 1e-10)")
+        parser.add_argument("--tol", type=float, default=1e-10, help=f"{tol} (default 1e-10)")
     if truncation:
         parser.add_argument("--truncation", type=int, default=24, help="total-degree cutoff (default 24)")
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("jset-check", cmd_jset_check, "decide the strictness criterion for an exponent-set file")
     p.add_argument("spec", help="exponent set JSON")
     p.add_argument("--sphere", action="store_true", help="unit-sphere mode: drop the origin requirement")
-    _add_common(p, tol=False, truncation=False)
+    _add_common(p, tol=None, truncation=False)
 
     p = command("counterexample", cmd_counterexample, "build an annihilating configuration for a failing spec")
     p.add_argument("spec", help="exponent set JSON")
@@ -262,12 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="coefficient model JSON")
     p.add_argument("points", help="point set JSON")
     p.add_argument("--csv", help="write the kernel Gram as CSV to this path")
-    _add_common(p, truncation=False)
+    _add_common(p, tol="numerical tolerance; " + KERNEL_TOL.format("tol"), truncation=False)
 
     p = command("oracle", cmd_oracle, "strictness by collocation rank, with eigen cross-check")
     p.add_argument("model", help="coefficient model JSON")
     p.add_argument("points", help="scalar point set JSON (dimension 1)")
-    _add_common(p)
+    kernel_tol = KERNEL_TOL.format("t") + ", t = tol in the witness form and min(tol, 1e-12) in the eigen cross-check"
+    _add_common(p, tol="rank cut (tol * scale) and tail-mass bound; " + kernel_tol)
 
     p = command("split", cmd_split, "split an inner-product Gram into rank-one plus PSD remainder")
     p.add_argument("points", help="point set JSON")
@@ -275,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("selftest", cmd_selftest, "run the invariant suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    _add_common(p, tol=False, truncation=False)
+    _add_common(p, tol=None, truncation=False)
 
     return parser
 

@@ -3,7 +3,7 @@
 Because all weights are strictly positive, the kernel quadratic form at
 scalar points vanishes exactly when the coefficient vector annihilates every
 monomial column, so strictness at a point set is equivalent to full row rank
-of the collocation matrix.  These oracles stay independent of the series
+of the collocation matrix.  These oracles stay independent of the kernel
 evaluator except where a cross-check is the point.
 
 The monomial values come from ``monomial_table``: each power z^k and
@@ -22,7 +22,7 @@ import numpy as np
 
 from .exponents import ExponentPair, ExponentSetSpec, members_upto
 from .kernel import CoefficientModel, KernelRangeError, kernel_values, truncation_tail_mass
-from .linalg import closest_pair, nullspace_vector, row_sum_scale
+from .linalg import closest_pair, phase_normalize, row_sum_scale
 
 
 class TruncationGuardError(ValueError):
@@ -31,12 +31,15 @@ class TruncationGuardError(ValueError):
 
 @dataclass(frozen=True)
 class CollocationMatrix:
-    """Monomial values z_r^k conj(z_r)^l over points (rows) x exponents (columns)."""
+    """Monomial values z_r^k conj(z_r)^l over points (rows) x exponents
+    (columns), with the numerical rank and, below full row rank, a unit c
+    with c^T entries ~ 0, both from one SVD."""
 
     points: np.ndarray
     exponents: tuple[ExponentPair, ...]
     entries: np.ndarray
     rank: int
+    annihilator: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -103,23 +106,25 @@ def monomial_table(points, exponents, weights=None) -> np.ndarray:
 def collocation(points, spec: ExponentSetSpec, truncation: int, tol: float = 1e-10) -> CollocationMatrix:
     """Collocation matrix over all (k, l) in J with k + l <= truncation,
     columns in lexicographic order (from monomial_table), with its numerical
-    rank.  The points are checked first: nonempty, nonzero and distinct."""
+    rank: the singular values above tol * row_sum_scale.  Below full row
+    rank, the annihilator is conj(u_n), u_n the last left singular vector.
+    The one SVD is of the transpose, which costs less for
+    the usual wide matrix; there u_n = conj(vh[-1]).  The points are checked
+    first: nonempty, nonzero and distinct."""
     pts = _check_points(points)
     if truncation < 0:
         raise ValueError(f"truncation must be nonnegative, got {truncation}")
     cols = members_upto(spec, truncation)
     entries = np.ascontiguousarray(monomial_table(pts, cols).T)
-    if cols:
-        if not np.isfinite(entries).all():
-            radius = float(np.abs(pts).max())
-            raise KernelRangeError(
-                f"collocation monomials overflow double precision at radius {radius:.6g} (truncation {truncation})"
-            )
-        sing = np.linalg.svd(entries, compute_uv=False)
-        rank = int((sing > tol * row_sum_scale(entries)).sum())
-    else:
-        rank = 0
-    return CollocationMatrix(pts, tuple(cols), entries, rank)
+    if not np.isfinite(entries).all():
+        radius = float(np.abs(pts).max())
+        raise KernelRangeError(
+            f"collocation monomials overflow double precision at radius {radius:.6g} (truncation {truncation})"
+        )
+    _, sing, vh = np.linalg.svd(entries.T, full_matrices=len(cols) < pts.size)
+    rank = int((sing > tol * row_sum_scale(entries)).sum())
+    annihilator = np.conj(vh[-1]) if rank < pts.size else None
+    return CollocationMatrix(pts, tuple(cols), entries, rank, annihilator)
 
 
 def strictness_oracle(
@@ -151,8 +156,7 @@ def strictness_oracle(
                 f"raise the truncation to certify strictness"
             )
         return StrictnessResult(True, None, coll.rank, tail)
-    witness = nullspace_vector(coll.entries.T, tol)
-    assert witness is not None, "rank < n guarantees an annihilating vector"
+    witness = phase_normalize(coll.annihilator)
     # measured truncated part + tail bound at the kernel argument radius
     residuals = coll.entries.T @ witness
     below = sum(
@@ -172,10 +176,11 @@ def strictness_oracle(
     form = quadratic_form(model, pts, witness, tol)
     budget = certified + norm1**2 * tol
     if form > 10 * budget + n * n * tol:
-        # the form is measured to 4 n eps |c|^T |K| |c|, and every kernel value
-        # is at most the whole weight mass at radius^2 (the tail past degree -1)
-        rounding = 4 * n * np.finfo(float).eps * norm1**2 * truncation_tail_mass(model, -1, radius * radius)
-        if form > 10 * budget + n * n * tol + rounding:
+        # the form is measured to 4 n eps |c|^T |K| |c|, each kernel value to
+        # tol max(1, M), and both |K| and M are at most the whole weight mass at
+        # radius^2 (the tail past degree -1)
+        mass = truncation_tail_mass(model, -1, radius * radius)
+        if form > 10 * budget + n * n * tol + norm1**2 * mass * (10 * tol + 4 * n * np.finfo(float).eps):
             raise RuntimeError(f"witness failed full-form validation: {form:.3e} > {budget:.3e}")
     return StrictnessResult(False, witness, coll.rank, tail, witness_form=form)
 

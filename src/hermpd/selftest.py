@@ -32,6 +32,7 @@ from .kernel import (
     kernel_gram,
     scalar_points,
     schur_product,
+    truncation_tail_mass,
 )
 from .linalg import (
     INDEFINITE,
@@ -137,38 +138,39 @@ def check_modulus_reduction(rng, level):
 def check_symmetries(rng, level):
     cases, failures = 0, []
     for _ in range(_reps(level, 100, 1000)):
-        # step degree <= 4 keeps e^(rho |a|^deg) finite out to |a| = 3
+        # step degree <= 4 keeps e^(rho |a|^deg) finite out to |a| = 3; the
+        # closed form is conjugate-symmetric to the bit
         model = sampling.random_weights(rng, sampling.random_spec(rng, max_stride=2))
         a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if abs(a) > 3:
             a *= 3 / abs(a)
-        left = eval_kernel(model, np.conj(a), 1e-13)
-        right = np.conj(eval_kernel(model, a, 1e-13))
         cases += 1
-        if abs(left - right) > 1e-13:
+        if eval_kernel(model, a.conjugate(), 1e-10) != eval_kernel(model, a, 1e-10).conjugate():
             failures.append(f"conjugate symmetry failed at {a}")
         t = rng.uniform(-3, 3)
         cases += 1
-        if abs(eval_kernel(model, complex(t, 0.0), 1e-13).imag) > 1e-13:
+        if eval_kernel(model, complex(t, 0.0), 1e-10).imag != 0:
             failures.append(f"real restriction failed at {t}")
     return cases, failures
 
 
 def check_truncation_certificate(rng, level):
     cases, failures = 0, []
-    for _ in range(_reps(level, 20, 100)):
-        # moderate values keep float rounding far below the halved tolerances
+    tol = 1e-10
+    for _ in range(_reps(level, 10, 100)):
+        # the series summed term by term up to a tail bound below tol / 10, at
+        # |a| <= 1, where rounding stays far below tol times the weight mass
         model = sampling.random_weights(rng, sampling.random_spec(rng, max_stride=2), rho_hi=0.5)
-        a = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        tol = 1e-6
-        prev = eval_kernel(model, a, tol)
-        for _ in range(6):
-            tol /= 2
-            cur = eval_kernel(model, a, tol)
-            cases += 1
-            if abs(cur - prev) > 2 * tol:
-                failures.append(f"halving tol moved value by {abs(cur - prev):.3e} > {2 * tol:.1e}")
-            prev = cur
+        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        a /= max(1.0, abs(a))
+        truncation = 0
+        while truncation_tail_mass(model, truncation, abs(a)) >= tol / 10:
+            truncation += 2
+        direct = sum(model.coefficient(k, l) * a**k * a.conjugate() ** l for k, l in members_upto(model.spec, truncation))
+        miss = abs(eval_kernel(model, a, tol) - direct)
+        cases += 1
+        if miss > 2 * tol * max(1.0, truncation_tail_mass(model, -1, abs(a))):  # the whole weight mass, at least M(a)
+            failures.append(f"closed form misses the summed series by {miss:.3e} at {a}")
     return cases, failures
 
 

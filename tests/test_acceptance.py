@@ -29,7 +29,6 @@ from hermpd.kernel import (
     GramMatrix,
     conjugate_model,
     diagonal_factorial_model,
-    eval_kernel,
     grid_factorial_model,
     inner_gram,
     kernel_gram,
@@ -47,6 +46,7 @@ from hermpd.sampling import (
     random_spec,
     random_weights,
 )
+from hermpd.selftest import check_symmetries
 
 
 def finish(number: int, started: float, budget: float, detail: str) -> None:
@@ -164,16 +164,9 @@ def test_criterion_07_closure_suite():
 
 def test_criterion_08_symmetry_suite():
     started = time.perf_counter()
-    rng = np.random.default_rng(105)
-    for _ in range(1000):
-        model = random_weights(rng, random_spec(rng, max_stride=2))
-        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(a) > 3:
-            a *= 3 / abs(a)
-        assert abs(eval_kernel(model, np.conj(a), 1e-13) - np.conj(eval_kernel(model, a, 1e-13))) <= 1e-13
-        t = rng.uniform(-3, 3)
-        assert abs(eval_kernel(model, complex(t, 0.0), 1e-13).imag) <= 1e-13
-    finish(8, started, 10.0, "1000 evaluations: conjugate symmetry and real restriction at 1e-13")
+    cases, failures = check_symmetries(np.random.default_rng(105), "full")
+    assert cases == 2000 and failures == []
+    finish(8, started, 10.0, "1000 models: conjugate symmetry and real restriction, bit for bit")
 
 
 def test_criterion_09_character_annihilator_exactness():

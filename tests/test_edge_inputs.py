@@ -6,6 +6,7 @@ hanging."""
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import json
 import math
@@ -14,6 +15,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,9 @@ import hermpd.exponents
 from hermpd.cli import main
 from hermpd.exponents import ExponentFamily, ExponentSetSpec, even_difference_spec
 from hermpd.kernel import diagonal_factorial_model, unit_weights
-from hermpd.schema import model_to_json, points_to_json, spec_to_json
+from hermpd.schema import model_from_json, model_to_json, points_to_json, spec_to_json
 from test_exponents import erdos_covering_spec
-from test_kernel import steep_stride4_case
+from test_kernel import kernel_mpmath, steep_stride4_case
 
 COPRIME = ExponentSetSpec(
     points=[(0, 0)], families=[ExponentFamily((0, 0), (999983, 0)), ExponentFamily((0, 0), (0, 1000003))]
@@ -278,3 +280,40 @@ def test_argparse_refusal_is_one_line(cli, flags, phrase):
     # argparse printed a usage block and raised SystemExit(2) out of main
     result = cli("gram", *golden("model_grid16.json", "points_n8_m1.json"), flags=flags)
     assert_refused(*result, phrase)
+
+
+def test_cancelling_kernel_entry_is_right(cli):
+    # f(5.5 * -5.5) on grid16 is 1.1e-3, while its series terms reach 1e12 and
+    # cancel: summed term by term, the entry was reported as -6.39e6 with exit 0
+    model = json.loads((GOLDEN / "model_grid16.json").read_text(encoding="utf-8"))
+    code, out, err, elapsed = cli("gram", model, scalar_points(5.5, -5.5), flags=["--tol", "1e-10"])
+    assert code == 0 and err == "" and elapsed < 1.0
+    re, im = json.loads(out)["kernel_gram"]["entries"][0][1]
+    exact = kernel_mpmath(model_from_json(model), complex(-30.25))
+    assert abs(complex(re, im) - complex(exact)) <= 1e-10
+
+
+def test_close_pair_oracle_answers(cli):
+    # the rank cut and the null vector came from two SVDs with different
+    # scales, so the oracle found no null vector below full rank: an assert
+    # ended in a traceback
+    model = json.loads((GOLDEN / "model_grid16.json").read_text(encoding="utf-8"))
+    code, out, err, elapsed = cli("oracle", model, scalar_points(0.5, 0.5 + 1.5e-10j))
+    assert code == 0 and err == "" and elapsed < 1.0
+    assert json.loads(out)["strict"] in (True, False)
+
+
+@pytest.mark.parametrize("name", ["grid16", "axis"])
+def test_close_pair_sweep_answers_or_refuses(cli, name):
+    # 0.5 and 0.5 e^(i eps) from eps = 1e-13 to 1e-6: a verdict, or a one-line refusal
+    if name == "grid16":
+        model = json.loads((GOLDEN / "model_grid16.json").read_text(encoding="utf-8"))
+    else:
+        model = model_to_json(unit_weights(AXIS))
+    for eps in 10.0 ** np.arange(-13.0, -5.9, 0.5):
+        code, out, err, elapsed = cli("oracle", model, scalar_points(0.5, 0.5 * cmath.exp(1j * eps)))
+        if code == 2:
+            assert_refused(code, out, err, elapsed, "")
+        else:
+            assert code == 0 and err == "" and elapsed < 1.0, (eps, err)
+            assert json.loads(out)["strict"] in (True, False)

@@ -1,10 +1,8 @@
 """Golden CLI reports: every case in golden/cases.txt must reproduce its
 stdout (minus the elapsed_ms line), stderr, exit code and written files
-byte for byte.  The gram and oracle cases are too small to reach the array
-evaluator at the default crossover, so they run a second time with
-kernel.ARRAY_CROSSOVER at 1.  The cases whose reports hold float lists run
-with schema.FLOAT_BLOCK_CUTOFF at 1 and at 2**62, so that every float block
-is written once with and once without formatting each magnitude once."""
+byte for byte.  The cases whose reports hold float lists run with
+schema.FLOAT_BLOCK_CUTOFF at 1 and at 2**62, so that every float block is
+written once with and once without formatting each magnitude once."""
 
 from __future__ import annotations
 
@@ -14,13 +12,11 @@ from pathlib import Path
 
 import pytest
 
-import hermpd.kernel
 import hermpd.schema
 from hermpd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [line.split() for line in (GOLDEN / "cases.txt").read_text(encoding="utf-8").splitlines() if line.strip()]
-KERNEL_CASES = [c for c in CASES if c[2] in ("gram", "oracle")]
 FLOAT_CASES = [c for c in CASES if c[2] in ("counterexample", "gram", "oracle", "split")]
 
 
@@ -35,12 +31,6 @@ def params(cases):
 
 @params(CASES)
 def test_golden_report(name, code, argv, tmp_path, monkeypatch, capsys):
-    check_report(name, code, argv, tmp_path, monkeypatch, capsys)
-
-
-@params(KERNEL_CASES)
-def test_golden_report_array_path(name, code, argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
     check_report(name, code, argv, tmp_path, monkeypatch, capsys)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hermpd.kernel
 from hermpd.exponents import ExponentFamily, ExponentPair, ExponentSetSpec, even_difference_spec
 from hermpd.kernel import (
     CoefficientModel,
@@ -28,7 +28,6 @@ from hermpd.kernel import (
     inner_gram,
     kernel_gram,
     kernel_values,
-    scalar_points,
     schur_product,
     truncation_tail_mass,
     unit_weights,
@@ -274,6 +273,10 @@ def test_overflow_is_a_typed_refusal():
             eval_kernel(model, a, 1e-10)
     with pytest.raises(KernelRangeError, match="at radius 1000"):
         truncation_tail_mass(model, 24, 1e3)
+    # z = rho |a|^2 = inf once made a series cut loop run forever
+    huge_rho = unit_weights(diagonal_factorial_model().spec, rho=1e300)
+    with pytest.raises(KernelRangeError, match=r"kernel series overflows double precision at \|a\| = 100000"):
+        eval_kernel(huge_rho, 1e5, 1e-10)
 
 
 def _tail_mass_mpmath(model, truncation, radius):
@@ -309,191 +312,59 @@ def test_tail_mass_saturation_is_refused():
         truncation_tail_mass(model, 4, 5.0)
 
 
-def test_series_cut_always_ends():
-    # x = rho |a|^2 = inf: math.exp(inf) does not raise, so the cut loop never ended
-    huge_rho = unit_weights(diagonal_factorial_model().spec, rho=1e300)
-    with pytest.raises(KernelRangeError, match=r"at \|a\| = 100000"):
-        eval_kernel(huge_rho, 1e5, 1e-10)
-    # tol / 2 underflows to 0, where the cut loop compared 0 >= 0 forever
-    two = unit_weights(ExponentSetSpec(families=[ExponentFamily((0, 0), (1, 1)), ExponentFamily((0, 0), (2, 0))]))
-    assert abs(eval_kernel(two, 0.5, 5e-324) - (math.exp(0.25) + math.exp(0.25))) < 1e-15
-
-
-# --- the array evaluator against the scalar one, bit for bit ------------------
-
-SPECIAL = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1, -1, 1j, -1j, 1e-300, -1e-300j]
-
-
-def outcome(evaluate):
-    """The bits of a complex or float result, or the error it raised."""
-    try:
-        return np.asarray(evaluate()).view(np.uint64).tolist()
-    except (ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
+# --- kernel_values against eval_kernel ----------------------------------------
 
 def entry_loop(model, args, tol):
     return np.array([eval_kernel(model, a, tol) for a in np.ravel(args)], dtype=complex).reshape(np.shape(args))
 
 
-def quadratic_form_loop(model, points, c, tol):
-    """quadratic_form's value over the kernel matrix of the double loop it
-    replaced."""
-    pts = np.asarray(points, dtype=complex).ravel()
-    c = np.asarray(c, dtype=complex).ravel()
-    n = pts.size
-    kmat = np.empty((n, n), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(n):
-            for s in range(n):
-                kmat[r, s] = eval_kernel(model, pts[r] * np.conj(pts[s]), tol)
-        value = c @ kmat @ np.conj(c)
-    if not np.isfinite(value):
-        raise KernelRangeError(f"quadratic form overflows double precision on {n} points")
-    return float(value.real)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    radius=st.floats(0.0, 3.0),
-    picks=st.lists(st.sampled_from(SPECIAL), max_size=6),
-    tol=st.sampled_from([1e-13, 1e-10, 1e-6]),
-    high=st.sampled_from([None, 63, 95, 100]),
-    overflow=st.booleans(),
-)
-def test_kernel_values_bitwise(seed, radius, picks, tol, high, overflow):
-    rng = np.random.default_rng(seed)
-    spec = random_spec(rng, max_stride=4)
-    if high is not None:  # powers with many set bits, formed from the kept ones
-        points = {(high, 0), (1, high - 1), *spec.points}
-        families = {ExponentFamily((0, high), (1, 0)), ExponentFamily((2, 0), (0, high)), *spec.families}
-        spec = ExponentSetSpec(sorted(points), sorted(families, key=repr), spec.require_origin)
-    model = random_weights(rng, spec)
-    z = radius * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
-    # an argument of modulus 3e4 overflows a power or a series bound
-    far = [3e4 * np.exp(2j * np.pi * rng.random())] if overflow else []
-    args = np.concatenate([z, z.real + 0j, 1j * z.imag, picks, far])
-    assert hermpd.kernel._array_path(model, args.size)  # the array path runs
-    assert outcome(lambda: kernel_values(model, args, tol)) == outcome(lambda: entry_loop(model, args, tol))
-    # a Hermitian argument matrix, evaluated on its upper triangle
-    # 20 points: their 210 upper-triangle entries take the array path for
-    # every model, one without families too
-    pts = z[:20]
-    gram = inner_gram(scalar_points(pts)).entries
-    assert outcome(lambda: kernel_values(model, gram, tol)) == outcome(lambda: entry_loop(model, gram, tol))
-    c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    assert outcome(lambda: quadratic_form(model, pts, c, tol)) == outcome(lambda: quadratic_form_loop(model, pts, c, tol))
+def refusal(evaluate):
+    """The message of the KernelRangeError evaluate raises, or its value."""
+    try:
+        return evaluate()
+    except KernelRangeError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("far", [30.0, 1e5, 1e200, math.inf, math.nan])
 def test_kernel_values_refuse_like_eval_kernel(far):
+    # the array body refuses with eval_kernel's message at the first entry
+    # eval_kernel refuses, and elsewhere agrees with it far inside the contract
     rng = np.random.default_rng(7)
     for model in (grid_factorial_model(16), diagonal_factorial_model(), unit_weights(diagonal_factorial_model().spec, rho=1e300)):
         args = np.concatenate([rng.random(150) + 0j, [far * 1j, far], rng.random(20) * far])
-        assert outcome(lambda: kernel_values(model, args, 1e-10)) == outcome(lambda: entry_loop(model, args, 1e-10))
-        pts = np.concatenate([rng.random(14) * 0.5, [far]])
-        c = np.ones(15)
+        pts = np.concatenate([rng.random(14) * 0.5, [far]]) + 0j
         with np.errstate(over="ignore", invalid="ignore"):  # z_r conj(z_s) overflows
-            form = outcome(lambda: quadratic_form(model, pts, c, 1e-10))
-        assert form == outcome(lambda: quadratic_form_loop(model, pts, c, 1e-10))
+            gram = np.array([[r * np.conj(s) for s in pts] for r in pts])
+            form = refusal(lambda: quadratic_form(model, pts, np.ones(15), 1e-10))
+        expected = refusal(lambda: entry_loop(model, args, 1e-10))
+        values = refusal(lambda: kernel_values(model, args, 1e-10))
+        if isinstance(expected, str):
+            assert values == expected
+        else:
+            np.testing.assert_allclose(values, expected, rtol=1e-13, atol=1e-13)
+        expected = refusal(lambda: entry_loop(model, gram, 1e-10))
+        if isinstance(expected, str):  # the form refuses where one of its kernel values does
+            assert form == expected
 
 
-def test_kernel_values_degenerate_inputs(monkeypatch):
-    monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
+def test_kernel_values_degenerate_inputs():
     model = grid_factorial_model(4)
     assert kernel_values(model, np.zeros((0, 3)), 1e-12).shape == (0, 3)
-    for tol in (0.0, -1.0):
+    for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            kernel_values(model, [0.5], tol)
-    # an empty model, and one with an exponent past CPython's binary powering
-    assert kernel_values(CoefficientModel(ExponentSetSpec(), WeightRule({}, ())), [0.5, 2j], 1e-12).tolist() == [0j, 0j]
+            kernel_values(model, [0.5] * 9, tol)
+    # an empty model, and one with an exponent past CPython's binary powering,
+    # per entry and on arrays
+    empty = CoefficientModel(ExponentSetSpec(), WeightRule({}, ()))
+    for args in ([0.5, 2j], [0.5, 2j] * 5):
+        assert kernel_values(empty, args, 1e-12).tolist() == [0j] * len(args)
+        with pytest.raises(KernelRangeError, match=r"must be finite, got \(inf\+0j\)"):
+            kernel_values(empty, args + [math.inf], 1e-12)  # a constant value once hid it on arrays
     high = point_model({(101, 0): 1.0, (0, 0): 1.0})
-    args = np.array([0.9, 0.99j, -0.5])
-    assert outcome(lambda: kernel_values(high, args, 1e-12)) == outcome(lambda: entry_loop(high, args, 1e-12))
-
-
-# --- series passes: the next term of every family at once ------------------
-
-def five_step_model(rng) -> CoefficientModel:
-    """Five families with five distinct steps, the origin and one more point."""
-    shapes = [((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (2, 0)), ((1, 0), (0, 2))]
-    spec = ExponentSetSpec(points=[(0, 0), (2, 1)], families=[ExponentFamily(a, b) for a, b in shapes])
-    return random_weights(rng, spec)
-
-
-def pass_points(rng, n):
-    """n - 2 points of modulus 0.4..0.95 and two of modulus 1.1..1.3."""
-    radius = np.concatenate([0.4 + 0.55 * rng.random(n - 2), 1.1 + 0.2 * rng.random(2)])
-    return radius * np.exp(2j * np.pi * rng.random(n))
-
-
-@pytest.fixture
-def pass_sizes(monkeypatch):
-    """The family count of every series pass kernel_values makes."""
-    sizes = []
-    add_pass = hermpd.kernel._add_pass
-
-    def counted(total, monomial, fams, cuts):
-        sizes.append(len(fams))
-        add_pass(total, monomial, fams, cuts)
-
-    monkeypatch.setattr(hermpd.kernel, "_add_pass", counted)
-    return sizes
-
-
-def assert_passes_bitwise(model, pts, tols, rng):
-    gram = inner_gram(scalar_points(pts)).entries
-    for tol in tols:
-        assert outcome(lambda: kernel_values(model, gram, tol)) == outcome(lambda: entry_loop(model, gram, tol))
-    c = rng.standard_normal(pts.size) + 1j * rng.standard_normal(pts.size)
-    assert outcome(lambda: quadratic_form(model, pts, c, tols[0])) == outcome(lambda: quadratic_form_loop(model, pts, c, tols[0]))
-
-
-@pytest.mark.parametrize("n", [8, 16, 22, 30])  # 36 to 465 Gram entries
-@pytest.mark.parametrize("name", ["grid16", "five_steps"])
-def test_series_passes_bitwise(name, n, pass_sizes, monkeypatch):
-    monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
-    rng = np.random.default_rng(n)
-    model = grid_factorial_model(16) if name == "grid16" else five_step_model(rng)
-    assert_passes_bitwise(model, pass_points(rng, n), (1e-12, 1e-10), rng)
-    assert max(pass_sizes) > 1  # families formed together
-
-
-def test_series_passes_one_family_each_at_2080_entries(pass_sizes):
-    rng = np.random.default_rng(64)
-    assert_passes_bitwise(grid_factorial_model(16), pass_points(rng, 64), (1e-12,), rng)
-    assert set(pass_sizes) == {1}
-
-
-def test_series_passes_mask_out_of_order_cuts(monkeypatch, pass_sizes):
-    # a cut one step higher at about every third |a| stands in for rounding
-    # that breaks the order of a family's cuts by |a|; eval_kernel takes the
-    # same cuts, so the values must still agree bit for bit
-    series_cut = hermpd.kernel._series_cut
-    unordered = []
-
-    def bumped(r, deg0, step_deg, fw, budget):
-        return series_cut(r, deg0, step_deg, fw, budget) + (hash(r) % 3 == 0)
-
-    def cuts(r, fams, budget):
-        out = np.empty((len(fams), r.size), dtype=np.intp)
-        for f, (fam, fw) in enumerate(fams):
-            deg0, step_deg = fam.start.k + fam.start.l, fam.step.k + fam.step.l
-            for i, radius in enumerate(r.tolist()):
-                try:
-                    out[f, i] = bumped(radius, deg0, step_deg, fw, budget)
-                except OverflowError:
-                    out[f, i] = -1
-        unordered.append(bool((out[:, :-1] < out[:, 1:]).any()))
-        return out
-
-    monkeypatch.setattr(hermpd.kernel, "_series_cut", bumped)
-    monkeypatch.setattr(hermpd.kernel, "_array_cuts", cuts)
-    rng = np.random.default_rng(3)
-    assert_passes_bitwise(grid_factorial_model(16), pass_points(rng, 16), (1e-12,), rng)  # batched
-    assert_passes_bitwise(diagonal_factorial_model(), pass_points(rng, 30), (1e-12,), rng)  # in place
-    assert all(unordered) and 1 in pass_sizes and max(pass_sizes) > 1
+    for args in ([0.9, 0.99j, -0.5], [0.9, 0.99j, -0.5] * 4):
+        for a, value in zip(args, kernel_values(high, args, 1e-12)):
+            assert abs(mpmath.mpc(value.real, value.imag) - kernel_mpmath(high, complex(a))) <= 1e-12
 
 
 # --- the certified bound against a 50-digit reference -------------------------
@@ -511,8 +382,7 @@ def kernel_mpmath(model, a):
         return value
 
 
-def test_certified_bound_against_mpmath(monkeypatch):
-    monkeypatch.setattr(hermpd.kernel, "ARRAY_CROSSOVER", 1)
+def test_certified_bound_against_mpmath():
     rng = np.random.default_rng(2026)
     golden = model_from_json(json.loads((Path(__file__).parent / "golden" / "model_random.json").read_text(encoding="utf-8")))
     models = [grid_factorial_model(16), diagonal_factorial_model(), golden]
@@ -525,6 +395,75 @@ def test_certified_bound_against_mpmath(monkeypatch):
             for a, value in zip(args, values):
                 exact = kernel_mpmath(model, complex(a))
                 assert abs(mpmath.mpc(value.real, value.imag) - exact) <= tol, (model, a, tol)
+
+
+def majorant_mpmath(model, a):
+    """M(a) at 50 digits: sum_points w |a|^(k+l) + sum_families w |a|^(k0+l0) e^(Re z)."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(a.real, a.imag)
+        r = abs(z)
+        mass = mpmath.fsum(w * r ** (p.k + p.l) for p, w in model.rule.point_weights.items())
+        for fam, fw in zip(model.spec.families, model.rule.family_weights):
+            step = fw.rho * z**fam.step.k * mpmath.conj(z) ** fam.step.l
+            mass += fw.w * r ** (fam.start.k + fam.start.l) * mpmath.exp(step.real)
+        return mass
+
+
+def golden_model(name):
+    return model_from_json(json.loads((Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")))
+
+
+AXIS_MODEL = unit_weights(ExponentSetSpec(families=[ExponentFamily((0, 0), (1, 0)), ExponentFamily((0, 0), (0, 1))]))
+CONTRACT_MODELS = [grid_factorial_model(16), diagonal_factorial_model(), AXIS_MODEL]
+CONTRACT_MODELS += [golden_model("model_random.json"), golden_model("model_even.json")]
+
+
+def argument(modulus, kind, phase):
+    """a < 0, a^2 < 0 (a on the imaginary axis) or any phase: the first two
+    make the terms of the series cancel."""
+    if kind == "any":
+        return modulus * cmath.exp(2j * math.pi * phase)
+    return complex(-modulus, 0.0) if kind == "negative" else complex(0.0, modulus)
+
+
+def assert_within_contract(model, a, value, tol):
+    exact = kernel_mpmath(model, a)
+    error = abs(mpmath.mpc(value.real, value.imag) - exact)
+    assert error <= tol * max(1, majorant_mpmath(model, a)), (a, value, exact, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(CONTRACT_MODELS)),
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.lists(
+        st.tuples(st.floats(0.0, 30.0), st.sampled_from(["negative", "imaginary", "any"]), st.floats(0.0, 1.0)),
+        min_size=8,
+        max_size=12,
+    ),
+    log_tol=st.floats(-12.0, -6.0),
+)
+def test_contract_against_mpmath(index, seed, draws, log_tol):
+    # |F - f(a)| <= tol max(1, M(a)), or KernelRangeError, per entry and on arrays
+    if index < len(CONTRACT_MODELS):
+        model = CONTRACT_MODELS[index]
+    else:
+        rng = np.random.default_rng(seed)
+        model = random_weights(rng, random_spec(rng, max_stride=2))
+    tol = 10.0**log_tol
+    args = [argument(*draw) for draw in draws]
+    for a in args:
+        try:
+            value = eval_kernel(model, a, tol)
+        except KernelRangeError:
+            continue
+        assert_within_contract(model, a, value, tol)
+    try:
+        values = kernel_values(model, args, tol)
+    except KernelRangeError:
+        return
+    for a, value in zip(args, values):
+        assert_within_contract(model, a, complex(value), tol)
 
 
 # randomized invariants are stated once, in hermpd.selftest.CHECKS
